@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "sim/ssd.h"
 #include "ssd/engine.h"
-#include "ssd/range_lock.h"
 
 namespace {
 
@@ -169,52 +168,5 @@ void BM_GcChurn(benchmark::State& state) {
       static_cast<double>(ssd.engine().gc_runs());
 }
 BENCHMARK(BM_GcChurn);
-
-/// Range-lock acquire → eligibility check → release on an otherwise empty
-/// table: every ticket lands in an empty region FIFO, so this is the
-/// per-request fixed cost the pipeline pays even without any overlap.
-/// Arg = sectors per request (1 = single region, 64 = five regions at the
-/// default 16-sector page granularity).
-void BM_RangeLockUncontended(benchmark::State& state) {
-  ssd::RangeLockTable table(/*region_sectors=*/16);
-  const auto sectors = static_cast<std::uint64_t>(state.range(0));
-  Rng rng(17);
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    // Distinct regions per iteration: spread over far more regions than
-    // shards so consecutive tickets rarely share a shard map.
-    const std::uint64_t base = rng.below(1 << 20) * 16;
-    const bool exclusive = (seq & 1) != 0;
-    auto t = table.acquire(seq++, SectorRange::of(base, sectors), exclusive);
-    benchmark::DoNotOptimize(table.eligible(t));
-    table.release(t);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RangeLockUncontended)->Arg(1)->Arg(64);
-
-/// Same cycle against a region whose FIFO already holds Arg older shared
-/// tickets — the contended-shard shape a same-LPN read storm produces. The
-/// eligibility scan walks the queue, so this prices the depth the pipeline
-/// tolerates before a dependent request parks.
-void BM_RangeLockContendedShard(benchmark::State& state) {
-  ssd::RangeLockTable table(/*region_sectors=*/16);
-  const auto depth = static_cast<std::uint64_t>(state.range(0));
-  std::vector<ssd::RangeLockTable::Ticket> held;
-  held.reserve(depth);
-  const SectorRange hot = SectorRange::of(0, 16);
-  std::uint64_t seq = 0;
-  for (std::uint64_t i = 0; i < depth; ++i) {
-    held.push_back(table.acquire(seq++, hot, /*exclusive=*/false));
-  }
-  for (auto _ : state) {
-    auto t = table.acquire(seq++, hot, /*exclusive=*/true);
-    benchmark::DoNotOptimize(table.eligible(t));
-    table.release(t);
-  }
-  for (auto& t : held) table.release(t);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RangeLockContendedShard)->Arg(4)->Arg(16)->Arg(64);
 
 }  // namespace

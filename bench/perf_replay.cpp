@@ -357,14 +357,14 @@ void write_json(const std::string& path, const ssd::SsdConfig& config,
     const auto writes = r.result.stats.all_writes();
     std::fprintf(
         f,
-        "    {\"scheme\": \"%s\", \"queue_depth\": %u, \"workers\": %u, "
-        "\"wall_s\": %.3f, \"requests\": %llu, \"makespan_ms\": %.3f, "
+        "    {\"scheme\": \"%s\", \"queue_depth\": %u, \"wall_s\": %.3f, "
+        "\"requests\": %llu, \"makespan_ms\": %.3f, "
         "\"sim_requests_per_s\": %.1f, \"speedup_vs_qd1\": %.3f, "
         "\"read_p50_ms\": %.4f, \"read_p95_ms\": %.4f, "
         "\"read_p99_ms\": %.4f, \"read_max_ms\": %.4f, "
         "\"write_p50_ms\": %.4f, \"write_p95_ms\": %.4f, "
         "\"write_p99_ms\": %.4f, \"write_max_ms\": %.4f}%s\n",
-        row.scheme.c_str(), r.queue_depth, r.workers, row.wall_s,
+        row.scheme.c_str(), r.queue_depth, row.wall_s,
         static_cast<unsigned long long>(r.requests),
         static_cast<double>(r.makespan_ns) / 1e6, r.sim_requests_per_s(),
         base > 0 ? r.sim_requests_per_s() / base : 0.0, reads.p50_ns() / 1e6,

@@ -36,7 +36,7 @@ class ThreadPool {
     for (unsigned i = 0; i < threads; ++i) {
       // af_lint: allow(no-raw-thread) — the pool is the sanctioned owner of
       // raw threads; everything else goes through it.
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this] { run_worker(); });
     }
   }
 
@@ -74,7 +74,7 @@ class ThreadPool {
   }
 
  private:
-  void worker_loop() AF_EXCLUDES(mu_) {
+  void run_worker() AF_EXCLUDES(mu_) {
     while (true) {
       std::function<void()> task;
       {

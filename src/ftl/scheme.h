@@ -3,14 +3,8 @@
 // operations through the Engine's services; the engine owns placement,
 // timing, GC and statistics.
 //
-// Threading (DESIGN.md §10): schemes and the engine are single-threaded by
-// design and stay that way under the concurrent pipeline — every entry point
-// below (write/read/trim, GC hooks, checkpoint serialization) is called only
-// from the pipeline's device stage, which runs under one mutex in submission
-// order. Scheme code must not spawn threads or assume it can be re-entered
-// concurrently; the only pipeline-visible artifact is the ReadPlan a read
-// exports, which is verified on a worker thread *after* the device stage
-// returns, protected by the read's shared range-lock ticket.
+// Threading: schemes and the engine are single-threaded by design. Scheme
+// code must not spawn threads or assume it can be re-entered concurrently.
 #pragma once
 
 #include <cstdint>

@@ -3,344 +3,141 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/check.h"
-#include "nand/power.h"
-
 namespace af::sim {
-
-namespace {
-
-std::uint32_t clamp_workers(const ssd::SsdConfig& config) {
-  const auto& p = config.pipeline;
-  if (!p.enabled()) return 1;
-  // More workers than in-flight requests can never all be busy. Open-loop
-  // mode can be enabled with queue_depth 0 (the window defaults to 1).
-  return std::min(p.effective_workers(),
-                  std::max<std::uint32_t>(1, p.queue_depth));
-}
-
-std::uint32_t fair_window(const ssd::SsdConfig& config) {
-  const ssd::SsdConfig::QosPolicy& qos = config.qos;
-  if (!qos.enabled() || !qos.fair_share) return 1;
-  return std::max<std::uint32_t>(
-      1, std::max<std::uint32_t>(1, config.pipeline.queue_depth) /
-             qos.tenants);
-}
-
-}  // namespace
 
 SsdPipeline::SsdPipeline(const ssd::SsdConfig& config, ftl::SchemeKind kind)
     : queue_depth_(std::max<std::uint32_t>(1, config.pipeline.queue_depth)),
-      worker_count_(clamp_workers(config)),
-      enabled_(config.pipeline.enabled()),
       open_loop_(config.pipeline.open_loop),
-      tenant_window_(fair_window(config)),
-      device_(config, kind),
-      locks_(std::uint64_t{std::max<std::uint32_t>(
-                 1, config.pipeline.region_pages)} *
-             config.geometry.sectors_per_page()) {
-  const ssd::SsdConfig::QosPolicy& qos = config.qos;
-  if (enabled_ && !open_loop_ && qos.enabled() && qos.fair_share) {
-    tenant_slots_.resize(qos.tenants);
-  }
-  if (enabled_) {
-    pool_ = std::make_unique<ThreadPool>(worker_count_);
-    for (std::uint32_t i = 0; i < worker_count_; ++i) {
-      pool_->submit([this] { worker_loop(); });
-    }
-  }
-}
-
-SsdPipeline::~SsdPipeline() {
-  if (pool_) {
-    {
-      MutexLock lock(mu_);
-      stopping_ = true;
-    }
-    work_cv_.notify_all();
-    pool_.reset();  // joins the workers
-  }
-}
+      sectors_per_page_(config.geometry.sectors_per_page()),
+      device_(config, kind) {}
 
 void SsdPipeline::age(double used_fraction, double live_fraction,
                       std::uint64_t seed) {
-  // Serial warm-up: workers are idle (nothing pending), so the caller owns
-  // the device; the first submit()'s mutex handoff publishes the aged state.
   device_.age(used_fraction, live_fraction, seed);
 }
 
 void SsdPipeline::reset_measurement() {
-  MutexLock lock(mu_);
-  AF_CHECK_MSG(inflight_ == 0, "reset_measurement with requests in flight");
   device_.reset_measurement();
   records_.clear();
-  submitted_ = 0;
-  completed_ = 0;
-  verified_sectors_ = 0;
   lost_requests_ = 0;
   slots_ = {};
-  for (auto& heap : tenant_slots_) heap = {};
-  region_gates_.clear();
+  page_gates_.clear();
   barrier_gate_ = 0;
   all_done_gate_ = 0;
   last_issue_ = 0;
   makespan_ = 0;
 }
 
-nand::PowerLoss SsdPipeline::crash_error() { return nand::PowerLoss{crash_op_}; }
-
-void SsdPipeline::submit(const ftl::IoRequest& req) {
-  if (!enabled_) {
-    submit_inline(req);
-    return;
-  }
-  auto r = std::make_unique<Request>();
-  r->io = req;
-  {
-    UniqueLock lock(mu_);
-    while (inflight_ >= queue_depth_ && !crashed_) done_cv_.wait(lock);
-    if (crashed_) throw crash_error();
-    r->seq = submitted_++;
-    records_.emplace_back();
-    r->ticket = req.trim ? locks_.acquire_barrier(r->seq)
-                         : locks_.acquire(r->seq, req.range, req.write);
-    pending_.push_back(std::move(r));
-    ++inflight_;
-  }
-  work_cv_.notify_all();
-}
-
-void SsdPipeline::submit_inline(const ftl::IoRequest& req) {
-  MutexLock lock(mu_);
-  if (crashed_) throw crash_error();
-  auto r = std::make_unique<Request>();
-  r->seq = submitted_++;
-  r->io = req;
-  records_.emplace_back();
-  ++inflight_;
-  // QD=1 closed loop: issue when the previous request completed. No range
-  // or slot gates are needed — everything serializes behind all_done_gate_.
-  r->io.arrival = std::max(last_issue_, all_done_gate_);
-  capture_pre_stamps(*r);
-  try {
-    r->completion = device_.submit(r->io);
-  } catch (const nand::PowerLoss& loss) {
-    on_power_loss(*r, loss.op_index);
-    throw;
-  }
-  last_issue_ = r->io.arrival;
-  all_done_gate_ = std::max(all_done_gate_, r->completion.done);
-  CompletionRecord& rec = records_[r->seq];
-  rec.submitted = r->io.arrival;
-  rec.done = r->completion.done;
-  rec.cls = r->completion.cls;
-  rec.accepted = r->completion.accepted;
-  rec.data_lost = r->completion.data_lost;
-  rec.executed = true;
-  if (r->completion.data_lost) ++lost_requests_;
-  makespan_ = std::max(makespan_, r->completion.done);
-  ++completed_;
-  --inflight_;
-  // Inline reads were verified inside submit(); mirror the count so the
-  // pipeline's accessor means the same thing at every queue depth.
-  verified_sectors_ = device_.verified_sectors();
-}
-
 void SsdPipeline::flush() {
-  UniqueLock lock(mu_);
-  while (inflight_ > 0) done_cv_.wait(lock);
-  if (crashed_) throw crash_error();
+  if (crashed_) throw nand::PowerLoss{crash_op_};
 }
 
-void SsdPipeline::drain() { flush(); }
+void SsdPipeline::drain() {
+  flush();
+  device_.drain_admission();
+}
 
-SimTime SsdPipeline::dependency_gate(const Request& req) const {
+std::pair<std::uint64_t, std::uint64_t> SsdPipeline::pages_of(
+    const ftl::IoRequest& req) const {
+  return {req.range.begin / sectors_per_page_,
+          (req.range.end - 1) / sectors_per_page_ + 1};
+}
+
+SimTime SsdPipeline::dependency_gate(const ftl::IoRequest& req) const {
   // Barriers wait for every issued request; everything waits for barriers.
   SimTime gate = barrier_gate_;
-  if (req.ticket.barrier) return std::max(gate, all_done_gate_);
-  for (std::uint64_t region : req.ticket.regions) {
-    const auto it = region_gates_.find(region);
-    if (it == region_gates_.end()) continue;
+  if (req.trim) return std::max(gate, all_done_gate_);
+  const auto [first, last] = pages_of(req);
+  for (std::uint64_t page = first; page < last; ++page) {
+    const auto it = page_gates_.find(page);
+    if (it == page_gates_.end()) continue;
     // Reads order after the last overlapping write; writes after every
     // overlapping access (a write must not complete before an older read of
     // the data it replaces has been served).
-    gate = std::max(gate, req.io.write ? it->second.last_any
-                                       : it->second.last_excl);
+    gate = std::max(gate, req.write ? it->second.last_any
+                                    : it->second.last_excl);
   }
   return gate;
 }
 
-void SsdPipeline::capture_pre_stamps(Request& req) {
+SimTime SsdPipeline::issue_time(const ftl::IoRequest& req) {
+  // Open-loop arrivals: the trace timestamp is the submission instant; only
+  // dependency ordering can push the issue later. No slot gate, no issue
+  // chaining — the simulated schedule is queue_depth-independent.
+  if (open_loop_) return std::max(req.arrival, dependency_gate(req));
+  // Slot gate: with queue_depth simulated requests outstanding, the next one
+  // issues when the earliest of them completes.
+  SimTime slot_gate = 0;
+  if (slots_.size() >= queue_depth_) {
+    slot_gate = slots_.top();
+    slots_.pop();
+  }
+  return std::max({last_issue_, slot_gate, dependency_gate(req)});
+}
+
+void SsdPipeline::update_gates(const ftl::IoRequest& req, SimTime done) {
+  last_issue_ = req.arrival;
+  all_done_gate_ = std::max(all_done_gate_, done);
+  makespan_ = std::max(makespan_, done);
+  if (req.trim) {
+    barrier_gate_ = std::max(barrier_gate_, done);
+    page_gates_.clear();  // the barrier supersedes every per-page gate
+    slots_ = {};          // everything older has logically completed
+  } else {
+    const auto [first, last] = pages_of(req);
+    for (std::uint64_t page = first; page < last; ++page) {
+      PageGate& gate = page_gates_[page];
+      gate.last_any = std::max(gate.last_any, done);
+      if (req.write) gate.last_excl = std::max(gate.last_excl, done);
+    }
+  }
+  if (!open_loop_) slots_.push(done);
+}
+
+std::vector<std::uint64_t> SsdPipeline::pre_stamps(
+    const ftl::IoRequest& req) const {
   // Only the crash harness pays for this: with an armed power cut, the
   // interrupted write's sectors may legitimately read back as either
   // version after the mount, so their pre-submission stamps are kept.
-  if (!req.io.write || req.io.trim) return;
-  if (device_.oracle() == nullptr) return;
-  if (!device_.engine().array().power_cut_armed()) return;
-  req.pre_stamps.reserve(req.io.range.size());
-  for (SectorAddr s = req.io.range.begin; s < req.io.range.end; ++s) {
-    req.pre_stamps.push_back(device_.oracle()->expected(s));
+  std::vector<std::uint64_t> stamps;
+  if (!req.write || req.trim || device_.oracle() == nullptr ||
+      !device_.engine().array().power_cut_armed()) {
+    return stamps;
   }
+  stamps.reserve(req.range.size());
+  for (SectorAddr s = req.range.begin; s < req.range.end; ++s) {
+    stamps.push_back(device_.oracle()->expected(s));
+  }
+  return stamps;
 }
 
-void SsdPipeline::device_stage(Request& req) {
-  const SimTime trace_arrival = req.io.arrival;
-  if (open_loop_) {
-    // Open-loop arrivals: the trace timestamp is the submission instant;
-    // only dependency ordering can push the issue later. No slot gate, no
-    // issue chaining — the simulated schedule is queue_depth-independent.
-    req.io.arrival = std::max(trace_arrival, dependency_gate(req));
-  } else {
-    // Slot gate: with queue_depth simulated requests outstanding, the next
-    // one issues when the earliest of them completes.
-    SimTime slot_gate = 0;
-    if (slots_.size() >= queue_depth_) {
-      slot_gate = slots_.top();
-      slots_.pop();
+void SsdPipeline::submit(const ftl::IoRequest& req) {
+  flush();
+  CompletionRecord& rec = records_.emplace_back();
+  ftl::IoRequest issued = req;
+  issued.arrival = issue_time(req);
+  std::vector<std::uint64_t> stamps = pre_stamps(issued);
+  Ssd::Completion c;
+  try {
+    c = device_.submit(issued);
+  } catch (const nand::PowerLoss& loss) {
+    crashed_ = true;
+    crash_op_ = loss.op_index;
+    if (req.write && !req.trim) {
+      crash_inflight_ = req.range;
+      crash_pre_stamps_ = std::move(stamps);
     }
-    // Fair-share gate: tenant t additionally waits for its own oldest
-    // completion once it holds tenant_window_ slots, capping the share of
-    // the submission window a flooding tenant can occupy.
-    if (!tenant_slots_.empty()) {
-      auto& mine = tenant_slots_[std::min<std::size_t>(
-          req.io.tenant, tenant_slots_.size() - 1)];
-      if (mine.size() >= tenant_window_) {
-        slot_gate = std::max(slot_gate, mine.top());
-        mine.pop();
-      }
-    }
-    req.io.arrival =
-        std::max({last_issue_, slot_gate, dependency_gate(req)});
+    throw;
   }
-  capture_pre_stamps(req);
-  req.completion = device_.submit_deferred(req.io, &req.plan);
-  last_issue_ = req.io.arrival;
-  const SimTime done = req.completion.done;
-  if (!open_loop_) slots_.push(done);
-  if (!open_loop_ && !tenant_slots_.empty()) {
-    tenant_slots_[std::min<std::size_t>(req.io.tenant,
-                                        tenant_slots_.size() - 1)]
-        .push(done);
-  }
-  all_done_gate_ = std::max(all_done_gate_, done);
-  if (req.ticket.barrier) {
-    barrier_gate_ = std::max(barrier_gate_, done);
-    region_gates_.clear();  // the barrier supersedes every per-region gate
-    slots_ = {};            // everything older has logically completed
-    if (!open_loop_) slots_.push(done);
-    if (!tenant_slots_.empty()) {
-      for (auto& heap : tenant_slots_) heap = {};
-      if (!open_loop_) {
-        tenant_slots_[std::min<std::size_t>(req.io.tenant,
-                                            tenant_slots_.size() - 1)]
-            .push(done);
-      }
-    }
-  } else {
-    for (std::uint64_t region : req.ticket.regions) {
-      RegionGate& gate = region_gates_[region];
-      gate.last_any = std::max(gate.last_any, done);
-      if (req.io.write) gate.last_excl = std::max(gate.last_excl, done);
-    }
-  }
-  makespan_ = std::max(makespan_, done);
-  CompletionRecord& rec = records_[req.seq];
-  rec.submitted = req.io.arrival;
-  rec.done = done;
-  rec.queue_delay = open_loop_ ? req.io.arrival - trace_arrival : 0;
-  rec.cls = req.completion.cls;
-  rec.accepted = req.completion.accepted;
-  rec.data_lost = req.completion.data_lost;
+  update_gates(issued, c.done);
+  rec.submitted = issued.arrival;
+  rec.done = c.done;
+  rec.queue_delay = open_loop_ ? issued.arrival - req.arrival : 0;
+  rec.cls = c.cls;
+  rec.accepted = c.accepted;
+  rec.data_lost = c.data_lost;
   rec.executed = true;
-  req.needs_verify = !req.io.write && !req.io.trim &&
-                     device_.oracle() != nullptr;
-}
-
-void SsdPipeline::verify(Request& req) {
-  const ssd::Oracle* oracle = device_.oracle();
-  for (const auto& obs : req.plan.observed) {
-    const std::uint64_t expected = oracle->expected(obs.sector);
-    AF_CHECK_MSG(obs.stamp == expected,
-                 "pipeline oracle mismatch: read returned stale or wrong "
-                 "data (completion-order violation)");
-    ++req.verified;
-  }
-  AF_CHECK_MSG(req.plan.observed.size() == req.io.range.size(),
-               "pipeline read plan did not cover the whole request");
-}
-
-void SsdPipeline::finish(std::unique_ptr<Request> req) {
-  locks_.release(req->ticket);
-  verified_sectors_ += req->verified;
-  if (req->completion.data_lost) ++lost_requests_;
-  ++completed_;
-  --inflight_;
-  done_cv_.notify_all();
-  work_cv_.notify_all();
-}
-
-void SsdPipeline::on_power_loss(Request& req, std::uint64_t op_index) {
-  crashed_ = true;
-  crash_op_ = op_index;
-  if (req.io.write && !req.io.trim) {
-    crash_inflight_ = req.io.range;
-    crash_pre_stamps_ = std::move(req.pre_stamps);
-  }
-  // Power is gone: requests still queued behind the interrupted one never
-  // touched the device or the oracle — the host never saw them acknowledged.
-  for (auto& queued : pending_) {
-    locks_.release(queued->ticket);
-    ++completed_;
-    --inflight_;
-  }
-  pending_.clear();
-  done_cv_.notify_all();
-  work_cv_.notify_all();
-}
-
-void SsdPipeline::worker_loop() {
-  UniqueLock lock(mu_);
-  while (true) {
-    if (!verify_queue_.empty()) {
-      std::unique_ptr<Request> req = std::move(verify_queue_.front());
-      verify_queue_.pop_front();
-      lock.unlock();
-      verify(*req);
-      lock.lock();
-      finish(std::move(req));
-      continue;
-    }
-    if (!crashed_ && !pending_.empty() &&
-        locks_.eligible(pending_.front()->ticket)) {
-      // In-order device stage under mu_. If the front is ineligible, an
-      // older read still holds a conflicting ticket and is either in
-      // verify_queue_ (the branch above drains it first) or mid-verify on
-      // another worker (its finish() will wake us).
-      std::unique_ptr<Request> req = std::move(pending_.front());
-      pending_.pop_front();
-      try {
-        device_stage(*req);
-      } catch (const nand::PowerLoss& loss) {
-        locks_.release(req->ticket);
-        ++completed_;
-        --inflight_;
-        on_power_loss(*req, loss.op_index);
-        continue;
-      }
-      if (req->needs_verify) {
-        verify_queue_.push_back(std::move(req));
-        work_cv_.notify_all();
-      } else {
-        finish(std::move(req));
-      }
-      continue;
-    }
-    if (stopping_ && verify_queue_.empty() &&
-        (crashed_ || pending_.empty())) {
-      return;
-    }
-    work_cv_.wait(lock);
-  }
+  if (c.data_lost) ++lost_requests_;
 }
 
 }  // namespace af::sim

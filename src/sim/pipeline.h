@@ -1,65 +1,55 @@
-// SsdPipeline — the concurrent in-flight request pipeline (DESIGN.md §10).
+// SsdPipeline — the queue-depth request scheduler (DESIGN.md §10).
 //
-// Wraps one sim::Ssd in a closed-loop host driver with a bounded submission
-// window (`SsdConfig::PipelineConfig::queue_depth`): the submitter blocks
-// while queue_depth requests are in flight, worker threads drive the device
-// stage strictly in submission order, and read verification against the
-// oracle completes out of order on whichever worker gets there first.
+// Wraps one sim::Ssd in a closed-loop host driver with a bounded simulated
+// submission window (`SsdConfig::PipelineConfig::queue_depth`). It is a plain
+// single-threaded loop: submit() computes the request's simulated issue time,
+// services it through Ssd::submit (which verifies reads against the oracle
+// inline) and updates the gates. Overlap between in-flight requests lives in
+// simulated time — the device's ResourceTimeline books each request's flash
+// ops from its issue time — not in host threads.
 //
 // Determinism contract: every simulated number — issue/completion times,
 // stats, oracle state, GC decisions — is a pure function of
-// (config, submission sequence). Worker count and thread scheduling change
-// wall-clock time only. The contract holds because the device stage runs
-// under one mutex in submission order; only verification (which mutates
-// nothing simulated) is concurrent.
+// (config, submission sequence).
 //
 // Closed-loop timing: trace arrival times are ignored. A request's simulated
 // issue time is max(previous issue, slot gate, dependency gate) where the
 // slot gate pops the earliest in-flight completion once queue_depth
 // simulated requests are outstanding (fio-style QD semantics), and the
-// dependency gate orders overlapping extents (reads after the last
-// overlapping write, writes after every overlapping access) and barriers
-// (trims/flushes after everything, everything after them). QD=1 therefore
-// chains every request behind the previous completion — exactly the serial
-// engine driven one-request-at-a-time, which the tests check bit-identically.
-//
-// Lock ordering (see DESIGN.md §10): pipeline mutex, then range-lock shard
-// mutexes. Shard mutexes are never held across a wait or a device call.
+// dependency gate orders overlapping pages (reads after the last overlapping
+// write, writes after every overlapping access) and barriers (trims after
+// everything, everything after them). QD=1 therefore chains every request
+// behind the previous completion — exactly the serial engine driven
+// one-request-at-a-time, which the tests check bit-identically.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <functional>
 #include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "ftl/request.h"
 #include "nand/power.h"
 #include "sim/ssd.h"
-#include "ssd/range_lock.h"
 
 namespace af::sim {
 
 class SsdPipeline {
  public:
   SsdPipeline(const ssd::SsdConfig& config, ftl::SchemeKind kind);
-  ~SsdPipeline();
 
   SsdPipeline(const SsdPipeline&) = delete;
   SsdPipeline& operator=(const SsdPipeline&) = delete;
 
   /// Per-request outcome, indexed by submission sequence. `submitted` /
-  /// `done` are the simulated device issue/completion times (deterministic);
-  /// requests still queued when a power cut hit stay `executed = false`.
-  /// `queue_delay` is submitted − trace arrival: zero in closed-loop mode
-  /// (arrival timestamps are ignored there), and the time a request waited
-  /// behind dependencies in open-loop mode — reported separately from the
-  /// service time (done − submitted) so queueing is priced, not hidden.
+  /// `done` are the simulated device issue/completion times; a request
+  /// interrupted by a power cut stays `executed = false`. `queue_delay` is
+  /// submitted − trace arrival: zero in closed-loop mode (arrival timestamps
+  /// are ignored there), and the time a request waited behind dependencies
+  /// in open-loop mode — reported separately from the service time
+  /// (done − submitted) so queueing is priced, not hidden.
   struct CompletionRecord {
     SimTime submitted = 0;
     SimTime done = 0;
@@ -70,159 +60,94 @@ class SsdPipeline {
     bool data_lost = false;
   };
 
-  /// Serial warm-up on the caller thread (no pipeline involvement); call
-  /// reset_measurement() afterwards, before the first submit().
+  /// Serial warm-up; call reset_measurement() afterwards, before the first
+  /// submit().
   void age(double used_fraction, double live_fraction, std::uint64_t seed);
 
-  /// Clears device stats and all pipeline timing state. Requires quiescence
-  /// (nothing in flight).
+  /// Clears device stats and all scheduler timing state.
   void reset_measurement();
 
-  /// Enqueues one request, blocking while queue_depth requests are in
-  /// flight. Arrival time is ignored (closed-loop driver). Throws
-  /// nand::PowerLoss once an armed power cut has fired — like the serial
-  /// engine, the host learns of the crash at its next interaction.
+  /// Issues and services one request. Arrival time is ignored (closed-loop
+  /// driver) unless config.pipeline.open_loop is set. Throws nand::PowerLoss
+  /// when an armed power cut fires, and at every later call — like the
+  /// serial engine, the host learns of the crash at its next interaction.
   void submit(const ftl::IoRequest& req);
 
-  /// Barrier: blocks until everything submitted so far has completed
-  /// (including verification). Throws nand::PowerLoss after a crash.
+  /// Every submitted request has already completed; throws nand::PowerLoss
+  /// after a crash.
   void flush();
 
-  /// flush() + the end-of-run bookkeeping hook. Call before reading any
-  /// accessor below.
+  /// flush() + admits every write still parked by a dry token bucket. Call
+  /// before reading any accessor below.
   void drain();
 
-  /// The wrapped device. Callers must be quiescent (post-drain or
-  /// pre-submit): the device stage mutates this without external locking.
   [[nodiscard]] Ssd& device() { return device_; }
   [[nodiscard]] const Ssd& device() const { return device_; }
 
   [[nodiscard]] std::uint32_t queue_depth() const { return queue_depth_; }
-  [[nodiscard]] std::uint32_t workers() const { return worker_count_; }
 
-  // Quiescent-only accessors (post-drain).
-  [[nodiscard]] const std::vector<CompletionRecord>& records() const
-      AF_NO_THREAD_SAFETY_ANALYSIS {
+  [[nodiscard]] const std::vector<CompletionRecord>& records() const {
     return records_;
   }
-  [[nodiscard]] std::uint64_t submitted() const AF_NO_THREAD_SAFETY_ANALYSIS {
-    return submitted_;
+  [[nodiscard]] std::uint64_t submitted() const { return records_.size(); }
+  /// Sectors read back and checked against the oracle since the last
+  /// reset_measurement().
+  [[nodiscard]] std::uint64_t verified_sectors() const {
+    return device_.verified_sectors();
   }
-  [[nodiscard]] std::uint64_t verified_sectors() const
-      AF_NO_THREAD_SAFETY_ANALYSIS {
-    return verified_sectors_;
-  }
-  [[nodiscard]] std::uint64_t lost_requests() const
-      AF_NO_THREAD_SAFETY_ANALYSIS {
-    return lost_requests_;
-  }
+  [[nodiscard]] std::uint64_t lost_requests() const { return lost_requests_; }
   /// Latest simulated completion of the measured phase.
-  [[nodiscard]] SimTime makespan_ns() const AF_NO_THREAD_SAFETY_ANALYSIS {
-    return makespan_;
-  }
-  [[nodiscard]] ssd::RangeLockTable::Stats lock_stats() const {
-    return locks_.stats();
-  }
+  [[nodiscard]] SimTime makespan_ns() const { return makespan_; }
 
   // Crash introspection for the power-cut harness (post-PowerLoss).
-  [[nodiscard]] bool crashed() const AF_NO_THREAD_SAFETY_ANALYSIS {
-    return crashed_;
-  }
-  [[nodiscard]] std::uint64_t crash_op_index() const
-      AF_NO_THREAD_SAFETY_ANALYSIS {
-    return crash_op_;
-  }
+  [[nodiscard]] bool crashed() const { return crashed_; }
+  [[nodiscard]] std::uint64_t crash_op_index() const { return crash_op_; }
   /// Range of the write interrupted mid-flight (empty if the cut hit a
   /// read/erase) and its pre-submission stamps — the only sectors the
   /// post-mount oracle sweep may tolerate at the old version.
-  [[nodiscard]] SectorRange crash_inflight() const
-      AF_NO_THREAD_SAFETY_ANALYSIS {
-    return crash_inflight_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& crash_pre_stamps() const
-      AF_NO_THREAD_SAFETY_ANALYSIS {
+  [[nodiscard]] SectorRange crash_inflight() const { return crash_inflight_; }
+  [[nodiscard]] const std::vector<std::uint64_t>& crash_pre_stamps() const {
     return crash_pre_stamps_;
   }
 
  private:
-  struct Request {
-    std::uint64_t seq = 0;
-    ftl::IoRequest io;
-    ssd::RangeLockTable::Ticket ticket;
-    Ssd::Completion completion;
-    ftl::ReadPlan plan;
-    std::vector<std::uint64_t> pre_stamps;  // armed-cut tolerance capture
-    bool needs_verify = false;
-    std::uint64_t verified = 0;
-  };
-  struct RegionGate {
-    SimTime last_any = 0;   // latest completion touching the region
+  struct PageGate {
+    SimTime last_any = 0;   // latest completion touching the page
     SimTime last_excl = 0;  // latest exclusive (write) completion
   };
+  using MinHeap =
+      std::priority_queue<SimTime, std::vector<SimTime>, std::greater<>>;
 
-  void submit_inline(const ftl::IoRequest& req);
-  void worker_loop() AF_EXCLUDES(mu_);
-  /// In-order device stage: computes the simulated issue time, services the
-  /// request (oracle mutation included) and updates every gate. Returns the
-  /// request onward to verification or completion.
-  void device_stage(Request& req) AF_REQUIRES(mu_);
-  void finish(std::unique_ptr<Request> req) AF_REQUIRES(mu_);
-  void on_power_loss(Request& req, std::uint64_t op_index) AF_REQUIRES(mu_);
-  [[nodiscard]] SimTime dependency_gate(const Request& req) const
-      AF_REQUIRES(mu_);
-  void verify(Request& req);  // lock-free: oracle shadow is read-only here
-  void capture_pre_stamps(Request& req) AF_REQUIRES(mu_);
-  [[nodiscard]] nand::PowerLoss crash_error() AF_REQUIRES(mu_);
+  /// Logical pages `req` touches, first and one-past-last.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> pages_of(
+      const ftl::IoRequest& req) const;
+  [[nodiscard]] SimTime dependency_gate(const ftl::IoRequest& req) const;
+  /// Pops the slot gate and returns the request's simulated issue time.
+  [[nodiscard]] SimTime issue_time(const ftl::IoRequest& req);
+  /// Records `req` completing at `done` in every gate.
+  void update_gates(const ftl::IoRequest& req, SimTime done);
+  [[nodiscard]] std::vector<std::uint64_t> pre_stamps(
+      const ftl::IoRequest& req) const;
 
   const std::uint32_t queue_depth_;
-  const std::uint32_t worker_count_;
-  const bool enabled_;
   const bool open_loop_;
-  /// Fair-share per-tenant slot cap (1 when fair share is unarmed).
-  const std::uint32_t tenant_window_;
+  const std::uint64_t sectors_per_page_;
 
-  // Written by the device stage under mu_ (workers) or by the quiescent
-  // owner thread (age/reset/accessors); the submit()/mu_ handoff publishes
-  // every transition between the two regimes.
-  // af_lint: allow(pipeline-guarded-state) — device-stage confined, see
-  // the threading comment above; accessors are documented quiescent-only.
   Ssd device_;
-  ssd::RangeLockTable locks_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::vector<CompletionRecord> records_;
+  std::uint64_t lost_requests_ = 0;
+  bool crashed_ = false;
+  std::uint64_t crash_op_ = 0;
+  SectorRange crash_inflight_{};
+  std::vector<std::uint64_t> crash_pre_stamps_;
 
-  Mutex mu_;
-  std::condition_variable_any work_cv_;
-  std::condition_variable_any done_cv_;
-  std::deque<std::unique_ptr<Request>> pending_ AF_GUARDED_BY(mu_);
-  std::deque<std::unique_ptr<Request>> verify_queue_ AF_GUARDED_BY(mu_);
-  std::uint32_t inflight_ AF_GUARDED_BY(mu_) = 0;
-  bool stopping_ AF_GUARDED_BY(mu_) = false;
-  bool crashed_ AF_GUARDED_BY(mu_) = false;
-  std::uint64_t crash_op_ AF_GUARDED_BY(mu_) = 0;
-  SectorRange crash_inflight_ AF_GUARDED_BY(mu_){};
-  std::vector<std::uint64_t> crash_pre_stamps_ AF_GUARDED_BY(mu_);
-  std::uint64_t submitted_ AF_GUARDED_BY(mu_) = 0;
-  std::uint64_t completed_ AF_GUARDED_BY(mu_) = 0;
-  std::uint64_t verified_sectors_ AF_GUARDED_BY(mu_) = 0;
-  std::uint64_t lost_requests_ AF_GUARDED_BY(mu_) = 0;
-  std::vector<CompletionRecord> records_ AF_GUARDED_BY(mu_);
-
-  // Simulated closed-loop gates, mutated only in device order.
-  std::priority_queue<SimTime, std::vector<SimTime>, std::greater<>> slots_
-      AF_GUARDED_BY(mu_);
-  // Fair-share submission gate (DESIGN.md §12): per-tenant slot heaps, sized
-  // only when config.qos arms fair_share in closed-loop mode. Tenant t may
-  // hold at most tenant_window_ of the queue_depth simulated slots, so one
-  // flooding tenant cannot occupy the whole submission window.
-  std::vector<std::priority_queue<SimTime, std::vector<SimTime>,
-                                  std::greater<>>>
-      tenant_slots_ AF_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, RegionGate> region_gates_
-      AF_GUARDED_BY(mu_);
-  SimTime barrier_gate_ AF_GUARDED_BY(mu_) = 0;
-  SimTime all_done_gate_ AF_GUARDED_BY(mu_) = 0;
-  SimTime last_issue_ AF_GUARDED_BY(mu_) = 0;
-  SimTime makespan_ AF_GUARDED_BY(mu_) = 0;
+  // Simulated closed-loop gates.
+  MinHeap slots_;  // completions of the requests holding a QD slot
+  std::unordered_map<std::uint64_t, PageGate> page_gates_;
+  SimTime barrier_gate_ = 0;
+  SimTime all_done_gate_ = 0;
+  SimTime last_issue_ = 0;
+  SimTime makespan_ = 0;
 };
 
 }  // namespace af::sim

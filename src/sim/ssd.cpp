@@ -83,36 +83,23 @@ nand::FlashArray Ssd::release_flash() {
 
 Ssd::~Ssd() = default;
 
-Ssd::Completion Ssd::submit(const ftl::IoRequest& req) {
-  return submit_impl(req, nullptr);
-}
-
-Ssd::Completion Ssd::submit_deferred(const ftl::IoRequest& req,
-                                     ftl::ReadPlan* plan_out) {
-  AF_CHECK_MSG(plan_out != nullptr, "submit_deferred needs a plan sink");
-  plan_out->observed.clear();
-  return submit_impl(req, plan_out);
-}
-
 bool Ssd::admits_later(const Deferred& a, const Deferred& b) {
   return a.admit_at != b.admit_at ? a.admit_at > b.admit_at : a.seq > b.seq;
 }
 
-Ssd::Completion Ssd::submit_impl(const ftl::IoRequest& host_req,
-                                 ftl::ReadPlan* plan_out) {
+Ssd::Completion Ssd::submit(const ftl::IoRequest& host_req) {
   AF_CHECK_MSG(!host_req.range.empty(), "empty request");
   AF_CHECK_MSG(host_req.range.end <= engine_->config().logical_sectors(),
                "request beyond logical capacity");
 
   const ssd::SsdConfig::QosPolicy& qos = engine_->config().qos;
-  // Token-bucket admission shaping, serial (trace-timed) path only — the
-  // pipeline's QoS lever is its fair-share issue gate. A write finding its
-  // tenant's bucket dry is not executed now with a fudged timestamp: it is
-  // parked and enters the device when simulated time reaches its admit
-  // point, because the resource timeline books ops in submission order and
-  // an eagerly-booked far-future program would serialize every
-  // later-submitted request (other tenants included) behind it.
-  if (plan_out == nullptr && !buckets_.empty()) {
+  // Token-bucket admission shaping. A write finding its tenant's bucket dry
+  // is not executed now with a fudged timestamp: it is parked and enters the
+  // device when simulated time reaches its admit point, because the resource
+  // timeline books ops in submission order and an eagerly-booked far-future
+  // program would serialize every later-submitted request (other tenants
+  // included) behind it.
+  if (!buckets_.empty()) {
     flush_deferred(host_req.arrival);
     if (host_req.write && !host_req.trim && !aging_) {
       const auto tenant = static_cast<std::uint16_t>(
@@ -168,7 +155,7 @@ Ssd::Completion Ssd::submit_impl(const ftl::IoRequest& host_req,
       }
     }
   }
-  return service(host_req, plan_out, host_req.arrival);
+  return service(host_req, host_req.arrival);
 }
 
 void Ssd::flush_deferred(SimTime now) {
@@ -178,7 +165,7 @@ void Ssd::flush_deferred(SimTime now) {
     deferred_.pop_back();
     const SimTime anchor = held.req.arrival;
     held.req.arrival = held.admit_at;
-    (void)service(held.req, nullptr, anchor);
+    (void)service(held.req, anchor);
   }
 }
 
@@ -186,8 +173,7 @@ void Ssd::drain_admission() {
   flush_deferred(std::numeric_limits<SimTime>::max());
 }
 
-Ssd::Completion Ssd::service(const ftl::IoRequest& req,
-                             ftl::ReadPlan* plan_out, SimTime anchor) {
+Ssd::Completion Ssd::service(const ftl::IoRequest& req, SimTime anchor) {
   const ssd::SsdConfig::QosPolicy& qos = engine_->config().qos;
   std::uint16_t tenant = ssd::kNoTenant;
   if (qos.enabled() && !aging_) {
@@ -303,10 +289,10 @@ Ssd::Completion Ssd::service(const ftl::IoRequest& req,
       ++engine_->stats().tail().deadline_exceeded;
     }
   } else {
-    ftl::ReadPlan local_plan;
-    ftl::ReadPlan* plan = plan_out != nullptr ? plan_out : &local_plan;
+    ftl::ReadPlan plan;
+    ftl::ReadPlan* plan_sink = oracle_ ? &plan : nullptr;
     SimTime issue = req.arrival;
-    completion.done = scheme_->read(req, issue, oracle_ ? plan : nullptr);
+    completion.done = scheme_->read(req, issue, plan_sink);
     if (budget_ns > 0) {
       // Retry-with-backoff ladder: a read busting its budget is re-issued —
       // each re-issue re-walks the mapping and the flash, charging real
@@ -319,22 +305,22 @@ Ssd::Completion Ssd::service(const ftl::IoRequest& req,
         ++engine_->stats().tail().deadline_retries;
         issue = completion.done + dl.retry_backoff_us * 1000 * (1ull << k);
         arm_ledger(issue);
-        plan->observed.clear();
-        completion.done = scheme_->read(req, issue, oracle_ ? plan : nullptr);
+        plan.observed.clear();
+        completion.done = scheme_->read(req, issue, plan_sink);
       }
       if (completion.done > issue + budget_ns) {
         completion.status = ssd::Status::kDeadlineExceeded;
         ++engine_->stats().tail().deadline_exceeded;
       }
     }
-    if (oracle_ && plan_out == nullptr) {
-      for (const auto& obs : plan->observed) {
+    if (oracle_) {
+      for (const auto& obs : plan.observed) {
         const std::uint64_t expected = oracle_->expected(obs.sector);
         AF_CHECK_MSG(obs.stamp == expected,
                      "oracle mismatch: FTL returned stale or wrong data");
         ++verified_sectors_;
       }
-      AF_CHECK_MSG(plan->observed.size() == req.range.size(),
+      AF_CHECK_MSG(plan.observed.size() == req.range.size(),
                    "read plan did not cover the whole request");
     }
   }
@@ -418,6 +404,7 @@ void Ssd::age(double used_fraction, double live_fraction, std::uint64_t seed) {
 void Ssd::reset_measurement() {
   engine_->stats().reset();
   engine_->timeline().reset();
+  verified_sectors_ = 0;
   // Buckets restart full on the reset clock: aging traffic must not leave a
   // tenant pre-throttled (or pre-refilled into the future) when measurement
   // starts at simulated time 0 again.

@@ -66,26 +66,15 @@ class Ssd {
   /// the fully covered pages and are durable the instant they are accepted.
   [[nodiscard]] Completion submit(const ftl::IoRequest& req);
 
-  /// Pipeline device-stage entry (DESIGN.md §10): identical to submit() —
-  /// same classification, admission checks, oracle/shadow updates and stats,
-  /// in the same order — except that a read's plan is handed back through
-  /// `plan_out` instead of being verified inline, so the pipeline can verify
-  /// it on a worker thread while younger requests enter the device. The
-  /// caller owns serialization: calls must be externally ordered (the
-  /// pipeline holds its mutex across this call) and verification must finish
-  /// before any overlapping write is serviced (the range-lock table enforces
-  /// that). With the oracle off, `plan_out` is left empty.
-  [[nodiscard]] Completion submit_deferred(const ftl::IoRequest& req,
-                                           ftl::ReadPlan* plan_out);
-
   /// Ages the device: fills `live_fraction` of raw capacity with valid data
   /// and keeps overwriting it until `used_fraction` of all physical pages
   /// have been consumed (GC active throughout), mirroring §4.1. Call
   /// reset_measurement() afterwards.
   void age(double used_fraction, double live_fraction, std::uint64_t seed);
 
-  /// Clears statistics and the timing backlog accumulated so far (used after
-  /// aging so measured runs start from a clean clock).
+  /// Clears statistics, the verified-sector count and the timing backlog
+  /// accumulated so far (used after aging so measured runs start from a
+  /// clean clock).
   void reset_measurement();
 
   /// Admits every write still held back by a dry token bucket (end of
@@ -146,20 +135,13 @@ class Ssd {
     std::uint64_t seq = 0;  ///< FIFO tie-break for equal admit times
   };
 
-  /// Common body of submit() and submit_deferred(): `plan_out == nullptr`
-  /// verifies reads inline (the serial path, byte-for-byte the pre-pipeline
-  /// behaviour); otherwise the plan is exported for deferred verification.
-  [[nodiscard]] Completion submit_impl(const ftl::IoRequest& host_req,
-                                       ftl::ReadPlan* plan_out);
-
   /// Everything past admission shaping: capacity checks, execution, stats.
   /// `anchor` is the host's original arrival — latency is measured from it,
   /// so an admission stall shows up in the tenant's recorded tail.
-  [[nodiscard]] Completion service(const ftl::IoRequest& req,
-                                   ftl::ReadPlan* plan_out, SimTime anchor);
+  [[nodiscard]] Completion service(const ftl::IoRequest& req, SimTime anchor);
 
   /// Runs every deferred write whose admit time has been reached. Called
-  /// before each serial submission so bookings stay in nondecreasing
+  /// before each submission so bookings stay in nondecreasing
   /// simulated-time order.
   void flush_deferred(SimTime now);
 

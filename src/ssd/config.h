@@ -140,28 +140,19 @@ struct SsdConfig {
   };
   CapacityPolicy capacity;
 
-  /// Concurrent in-flight request pipeline (DESIGN.md §10). Zero-default:
-  /// `queue_depth <= 1` keeps the pipeline machinery out of the request path
-  /// entirely (no threads, no locks, no queue), so a default-config run is
-  /// bit-identical to a build without the subsystem. At `queue_depth > 1`
-  /// the host driver keeps up to queue_depth requests in flight: the device
-  /// stage still services them in submission order (determinism contract),
-  /// but their simulated issue times overlap across channels/chips and read
-  /// verification completes out of order on worker threads.
+  /// Queue-depth request scheduler (DESIGN.md §10). Zero-default:
+  /// `queue_depth <= 1` chains every request behind the previous completion,
+  /// so a default-config run is bit-identical to the serial engine. At
+  /// `queue_depth > 1` the scheduler keeps up to queue_depth requests in
+  /// flight in simulated time, so their issue times overlap across
+  /// channels/chips; `enabled()` also switches the engine to chip-rotating
+  /// placement.
   struct PipelineConfig {
-    /// Host requests allowed in flight at once (closed-loop driver). 0 or 1
-    /// = pipeline off; the inline serial path services every request.
+    /// Requests in flight at once (closed-loop driver). 0 or 1 = serial.
     std::uint32_t queue_depth = 0;
-    /// Worker threads (via common/thread_pool.h) that drive the device
-    /// stage and verify completed reads. 0 = pick a small default. Worker
-    /// count never changes any simulated number — only wall-clock time.
+    /// Ignored: the scheduler is single-threaded. Kept so existing callers
+    /// that set it still compile.
     std::uint32_t workers = 0;
-    /// Granularity of the sharded per-LPN-range lock table: logical pages
-    /// per lock region. Smaller regions mean fewer false conflicts between
-    /// near-miss requests; larger regions mean fewer lock entries per
-    /// request. Dependency gating (and therefore simulated timing) keys off
-    /// the same regions, so this knob is part of the determinism tuple.
-    std::uint32_t region_pages = 1;
     /// Open-loop arrivals: issue each request at its trace timestamp (still
     /// honoring dependency ordering) instead of the closed-loop QD window,
     /// so queueing delay is measured rather than suppressed. Simulated
@@ -169,9 +160,6 @@ struct SsdConfig {
     bool open_loop = false;
 
     [[nodiscard]] bool enabled() const { return queue_depth > 1 || open_loop; }
-    [[nodiscard]] std::uint32_t effective_workers() const {
-      return workers > 0 ? workers : 2;
-    }
   };
   PipelineConfig pipeline;
 
@@ -217,9 +205,9 @@ struct SsdConfig {
   DeadlineConfig deadline;
 
   /// Multi-tenant QoS isolation (DESIGN.md §12). Zero-default: with
-  /// `tenants <= 1` no stream table is grown, no token bucket is consulted,
-  /// no fair-share gate arms and no per-tenant stats are allocated, so a
-  /// default-config run is bit-identical to a build without the subsystem.
+  /// `tenants <= 1` no stream table is grown, no token bucket is consulted
+  /// and no per-tenant stats are allocated, so a default-config run is
+  /// bit-identical to a build without the subsystem.
   /// All pacing is simulated time keyed off request arrival timestamps.
   struct QosPolicy {
     /// Number of tenants sharing the device. 0 or 1 = subsystem off.
@@ -246,10 +234,6 @@ struct SsdConfig {
     /// 600 = 60%). A tenant whose live footprint would exceed its share gets
     /// kNoSpace while the others keep writing. 0 = no per-tenant quota.
     std::uint32_t capacity_share_millis = 0;
-    /// Fair-share submission gate in the pipeline: cap each tenant's
-    /// in-flight requests at queue_depth / tenants (min 1), so a QD-hogging
-    /// tenant queues behind its own window instead of starving the others.
-    bool fair_share = false;
 
     [[nodiscard]] bool enabled() const { return tenants > 1; }
     [[nodiscard]] bool streams_enabled() const {

@@ -3,10 +3,8 @@
 // they decide *what* to read, program and remap; the engine decides *where*
 // pages land, *when* operations complete, and keeps every figure's counters.
 //
-// Threading: deliberately unsynchronized. Under the concurrent pipeline
-// (DESIGN.md §10) the engine is device-stage-confined — exactly one thread
-// at a time calls into it, serialized by the pipeline mutex — and on the
-// serial path it is owned by the caller. Nothing here may block or spawn.
+// Threading: deliberately unsynchronized — the engine is owned by the
+// caller's thread. Nothing here may block or spawn.
 #pragma once
 
 #include <array>

@@ -76,7 +76,6 @@ PipelineReplayResult replay_pipeline(const ssd::SsdConfig& config,
   out.result = snapshot_result(pipeline.device());
   out.result.lost_requests = pipeline.lost_requests();
   out.queue_depth = pipeline.queue_depth();
-  out.workers = pipeline.workers();
   out.verified_sectors = pipeline.verified_sectors();
   out.makespan_ns = pipeline.makespan_ns();
   out.requests = pipeline.submitted();

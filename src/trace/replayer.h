@@ -52,11 +52,10 @@ struct ReplayResult {
                                   ftl::SchemeKind kind, const Trace& trace,
                                   const ReplayOptions& options = {});
 
-/// replay() through the concurrent in-flight pipeline (DESIGN.md §10).
+/// replay() through the queue-depth scheduler (DESIGN.md §10).
 struct PipelineReplayResult {
   ReplayResult result;             // same snapshot as a serial replay
   std::uint32_t queue_depth = 1;
-  std::uint32_t workers = 1;
   std::uint64_t verified_sectors = 0;
   /// Latest simulated completion of the measured phase; with the closed-loop
   /// driver this is the device-limited makespan, so requests/sim-second =
@@ -84,7 +83,7 @@ struct PipelineReplayResult {
 /// Replays `trace` through an SsdPipeline at config.pipeline's queue depth
 /// (closed-loop: trace arrival times are ignored, the driver keeps the
 /// window full). Every simulated number in the result is deterministic in
-/// (config, trace) — worker count changes wall-clock time only.
+/// (config, trace).
 [[nodiscard]] PipelineReplayResult replay_pipeline(
     const ssd::SsdConfig& config, ftl::SchemeKind kind, const Trace& trace,
     const ReplayOptions& options = {});

@@ -1,11 +1,11 @@
-// Power-cut windows under the concurrent pipeline (DESIGN.md §10): a cut
-// fired mid-run at QD16 must leave a mountable image whose recovered state
-// matches every acknowledged write, with at most the one in-flight request's
-// sectors readable at their pre-crash version. The pipeline abandons the
-// queued-but-unserviced tail (those writes were never acknowledged and never
-// stamped the oracle), so the post-mount sweep plus a host-style retry of
-// the unexecuted requests must land the device back in a fully verified
-// state — across all three schemes, with the checkpoint journal on.
+// Power-cut windows under the QD scheduler (DESIGN.md §10): a cut fired
+// mid-run at QD16 must leave a mountable image whose recovered state matches
+// every acknowledged write, with at most the one in-flight request's sectors
+// readable at their pre-crash version. Requests after the interrupted one
+// never reach the device (they were never acknowledged and never stamped the
+// oracle), so the post-mount sweep plus a host-style retry of the unexecuted
+// requests must land the device back in a fully verified state — across all
+// three schemes, with the checkpoint journal on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,7 +42,6 @@ void run_cut_and_recover(ftl::SchemeKind kind, std::uint64_t at_op,
                          std::uint64_t seed) {
   auto config = test::tiny_config();
   config.pipeline.queue_depth = 16;
-  config.pipeline.workers = 3;
   config.checkpoint.interval_requests = 32;
   const auto reqs = churn_workload(config, 500, seed);
 

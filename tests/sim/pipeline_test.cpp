@@ -1,16 +1,16 @@
 // SsdPipeline determinism and ordering-safety tests (DESIGN.md §10).
 //
 // The pipeline's contract has two halves, and each gets checked here:
-//  - QD=1 (pipeline disabled) is bit-identical to driving the serial engine
-//    one request at a time — every completion time, stat counter, wear cell
-//    and oracle stamp, across all three schemes.
-//  - QD>1 is deterministic in (config, trace, queue depth) regardless of
-//    worker count, and never violates completion-order safety: a read's
-//    simulated issue waits for the newest overlapping write completion, and
-//    trims act as full barriers. The built-in oracle verification aborts the
-//    process on any stale read, so merely finishing a run is itself an
-//    assertion; the tests additionally re-derive the ordering property from
-//    the completion records.
+//  - QD=1 is bit-identical to driving the serial engine one request at a
+//    time — every completion time, stat counter, wear cell and oracle stamp,
+//    across all three schemes.
+//  - QD>1 is deterministic in (config, trace, queue depth) and never
+//    violates completion-order safety: a read's simulated issue waits for
+//    the newest overlapping write completion, and trims act as full
+//    barriers. The built-in oracle verification aborts the process on any
+//    stale read, so merely finishing a run is itself an assertion; the tests
+//    additionally re-derive the ordering property from the completion
+//    records.
 #include "sim/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -101,7 +101,6 @@ TEST(Pipeline, QueueDepthOneIsBitIdenticalToSerialEngine) {
     const SerialRun serial = serial_reference(config, kind, reqs);
 
     SsdPipeline pipeline(config, kind);
-    EXPECT_EQ(pipeline.workers(), 1u);
     for (const auto& req : reqs) pipeline.submit(req);
     pipeline.drain();
 
@@ -128,50 +127,13 @@ TEST(Pipeline, QueueDepthOneIsBitIdenticalToSerialEngine) {
   }
 }
 
-/// Runs the same workload at the same queue depth with different worker
-/// counts; every simulated number must match exactly.
-TEST(Pipeline, WorkerCountNeverChangesSimulatedResults) {
-  auto config = test::tiny_config();
-  config.pipeline.queue_depth = 8;
-  const auto reqs = mixed_workload(config, 1200, 29);
-
-  std::vector<SsdPipeline::CompletionRecord> baseline;
-  std::uint64_t base_reads = 0, base_writes = 0, base_erases = 0;
-  SimTime base_makespan = 0;
-  for (const std::uint32_t workers : {1u, 3u}) {
-    config.pipeline.workers = workers;
-    SsdPipeline pipeline(config, ftl::SchemeKind::kAcrossFtl);
-    EXPECT_EQ(pipeline.workers(), workers);
-    for (const auto& req : reqs) pipeline.submit(req);
-    pipeline.drain();
-    if (workers == 1) {
-      baseline = pipeline.records();
-      base_reads = pipeline.device().stats().flash_reads();
-      base_writes = pipeline.device().stats().flash_writes();
-      base_erases = pipeline.device().stats().erases();
-      base_makespan = pipeline.makespan_ns();
-      continue;
-    }
-    ASSERT_EQ(pipeline.records().size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      EXPECT_EQ(pipeline.records()[i].submitted, baseline[i].submitted);
-      EXPECT_EQ(pipeline.records()[i].done, baseline[i].done);
-    }
-    EXPECT_EQ(pipeline.device().stats().flash_reads(), base_reads);
-    EXPECT_EQ(pipeline.device().stats().flash_writes(), base_writes);
-    EXPECT_EQ(pipeline.device().stats().erases(), base_erases);
-    EXPECT_EQ(pipeline.makespan_ns(), base_makespan);
-  }
-}
-
 /// Same-LPN read-after-write storm at QD16: the oracle inside the pipeline
 /// aborts on any read that observes a stale stamp, and the completion
 /// records must show every read issued at-or-after the newest overlapping
-/// write's completion (the property the range locks enforce).
+/// write's completion (the property the dependency gates enforce).
 TEST(Pipeline, SameLpnRawStormAtQd16KeepsReadsOrdered) {
   auto config = test::tiny_config();
   config.pipeline.queue_depth = 16;
-  config.pipeline.workers = 3;
   const auto spp = config.geometry.sectors_per_page();
   SsdPipeline pipeline(config, ftl::SchemeKind::kAcrossFtl);
 
@@ -205,13 +167,11 @@ TEST(Pipeline, SameLpnRawStormAtQd16KeepsReadsOrdered) {
     }
   }
   EXPECT_GT(pipeline.verified_sectors(), 0u);
-  EXPECT_EQ(pipeline.lock_stats().acquisitions, is_write.size());
 }
 
 TEST(Pipeline, TrimsActAsFullBarriers) {
   auto config = test::tiny_config();
   config.pipeline.queue_depth = 16;
-  config.pipeline.workers = 3;
   const auto spp = config.geometry.sectors_per_page();
   SsdPipeline pipeline(config, ftl::SchemeKind::kAcrossFtl);
 
@@ -238,7 +198,6 @@ TEST(Pipeline, TrimsActAsFullBarriers) {
     EXPECT_GE(records[i].submitted, trim.done)
         << "request " << i << " overtook the trim barrier";
   }
-  EXPECT_EQ(pipeline.lock_stats().barrier_acquisitions, 1u);
   // Reads of the trimmed pages were verified against stamp 0 by the oracle
   // (a stale pre-trim payload would have aborted the run).
   for (SectorAddr s = 0; s < 8 * spp; ++s) {
@@ -247,10 +206,9 @@ TEST(Pipeline, TrimsActAsFullBarriers) {
 }
 
 /// QD16 with every background subsystem on at once — GC churn, scrub ticks,
-/// checkpoint journaling — stays deterministic across worker counts and
-/// oracle-clean. This is the configuration the completion-order oracle
-/// exists for: GC migrations and scrub relocations run inside the device
-/// stage while reads verify concurrently on other workers.
+/// checkpoint journaling — stays deterministic run to run and oracle-clean,
+/// with GC migrations and scrub relocations interleaved between reads whose
+/// simulated lifetimes overlap.
 TEST(Pipeline, GcScrubAndCheckpointStayDeterministicAtQd16) {
   auto config = test::tiny_config();
   config.pipeline.queue_depth = 16;
@@ -271,15 +229,14 @@ TEST(Pipeline, GcScrubAndCheckpointStayDeterministicAtQd16) {
 
   std::vector<SsdPipeline::CompletionRecord> baseline;
   std::uint64_t base_erases = 0, base_gc = 0;
-  for (const std::uint32_t workers : {2u, 4u}) {
-    config.pipeline.workers = workers;
+  for (const bool first : {true, false}) {
     SsdPipeline pipeline(config, ftl::SchemeKind::kMrsm);
     for (const auto& req : reqs) pipeline.submit(req);
     pipeline.drain();
     EXPECT_GT(pipeline.device().stats().erases(), 0u) << "GC never ran";
     EXPECT_NE(pipeline.device().checkpointer(), nullptr);
     EXPECT_NE(pipeline.device().scrubber(), nullptr);
-    if (workers == 2) {
+    if (first) {
       baseline = pipeline.records();
       base_erases = pipeline.device().stats().erases();
       base_gc = pipeline.device().engine().gc_runs();
@@ -318,6 +275,47 @@ TEST(Pipeline, DeeperQueueShortensMakespanOnIndependentWrites) {
     }
     EXPECT_LT(pipeline.makespan_ns(), makespan_qd1)
         << "QD8 no faster than QD1 on an embarrassingly parallel workload";
+  }
+}
+
+/// Token-bucket admission at QD8: writes finding their tenant's bucket dry
+/// are parked and admitted later, as on the serial path, and drain() admits
+/// whatever is still parked. Two runs agree record for record and the whole
+/// logical space reads back oracle-clean afterwards.
+TEST(Pipeline, TokenBucketThrottlesAtQd8) {
+  auto config = test::tiny_config();
+  config.pipeline.queue_depth = 8;
+  config.qos.tenants = 2;
+  config.qos.rate_sectors_per_s = 2'000;
+  config.qos.burst_sectors = 64;
+  auto reqs = mixed_workload(config, 1200, 61);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i].tenant = static_cast<std::uint16_t>(i % 2);
+  }
+
+  std::vector<SsdPipeline::CompletionRecord> baseline;
+  for (const bool first : {true, false}) {
+    SsdPipeline pipeline(config, ftl::SchemeKind::kAcrossFtl);
+    for (const auto& req : reqs) pipeline.submit(req);
+    pipeline.drain();
+    const auto& records = pipeline.records();
+    ASSERT_EQ(records.size(), reqs.size());
+    for (const auto& rec : records) EXPECT_TRUE(rec.executed);
+    std::uint64_t stalls = 0;
+    for (const auto& t : pipeline.device().stats().tenants()) {
+      stalls += t.throttle_stalls;
+    }
+    EXPECT_GT(stalls, 0u) << "the bucket never ran dry";
+    test::verify_full_space(pipeline.device());
+    if (first) {
+      baseline = records;
+      continue;
+    }
+    for (std::size_t i = 0; i < baseline.size(); ++i) {
+      EXPECT_EQ(records[i].submitted, baseline[i].submitted);
+      EXPECT_EQ(records[i].done, baseline[i].done);
+      EXPECT_EQ(records[i].accepted, baseline[i].accepted);
+    }
   }
 }
 

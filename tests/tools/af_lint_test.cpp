@@ -5,15 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint.h"
-#include "lockorder.h"
-#include "model.h"
 
 namespace af::lint {
 namespace {
@@ -162,37 +159,6 @@ TEST(AfLint, BenchRuleOnlyAppliesToBenchDir) {
   EXPECT_EQ(count_rule(findings, "bench-run-schemes"), 0);
 }
 
-TEST(AfLint, PipelineGuardedStateFlagsUnannotatedMembers) {
-  const auto findings = lint_fixture("bad_pipeline_state.txt",
-                                     "src/sim/bad_pipeline_state.h");
-  // pending_ and completed_ lack annotations; the const member, the Mutex,
-  // the AF_GUARDED_BY member, the atomic and the allow-justified member
-  // must all pass.
-  EXPECT_EQ(count_rule(findings, "pipeline-guarded-state"), 2);
-}
-
-TEST(AfLint, PipelineGuardedStateOnlyCoversMutexBearingSsdSimHeaders) {
-  // Same content elsewhere in src/, or as a .cpp, is out of jurisdiction.
-  const auto in_ftl = lint_fixture("bad_pipeline_state.txt",
-                                   "src/ftl/bad_pipeline_state.h");
-  EXPECT_EQ(count_rule(in_ftl, "pipeline-guarded-state"), 0);
-  const auto as_cpp = lint_fixture("bad_pipeline_state.txt",
-                                   "src/sim/bad_pipeline_state.cpp");
-  EXPECT_EQ(count_rule(as_cpp, "pipeline-guarded-state"), 0);
-  // A header with plain members but no Mutex member is single-threaded
-  // state and stays unannotated.
-  const std::string no_mutex =
-      "#pragma once\n"
-      "namespace af::sim {\n"
-      "class Counters {\n"
-      " private:\n"
-      "  unsigned long long completed_ = 0;\n"
-      "};\n"
-      "}  // namespace af::sim\n";
-  const auto findings = lint_content("src/sim/counters.h", no_mutex);
-  EXPECT_EQ(count_rule(findings, "pipeline-guarded-state"), 0);
-}
-
 TEST(AfLint, SuppressionsSilenceJustifiedFindings) {
   // allow-file(no-nondeterminism) covers both clock readings; the wrapped
   // allow(bench-run-schemes) comment block must carry down to the
@@ -259,107 +225,6 @@ TEST(AfLint, AllowMarkerInsideBlockCommentCarriesToFirstCodeLine) {
   // carry-down window and must still fire.
   EXPECT_EQ(count_rule(findings, "no-nondeterminism"), 1);
   EXPECT_EQ(findings.size(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// v2: lock-order
-// ---------------------------------------------------------------------------
-
-TEST(AfLint, LockOrderCycleIsDetected) {
-  const auto findings =
-      lint_fixture("lockorder_cycle.txt", "src/sim/lockorder_cycle.cpp");
-  EXPECT_EQ(count_rule(findings, "lock-order"), 1);
-  EXPECT_EQ(findings.size(), 1u);
-  for (const auto& f : findings) {
-    EXPECT_NE(f.message.find("cycle"), std::string::npos) << format(f);
-  }
-}
-
-TEST(AfLint, LockOrderInvertedPipelineShardEdgeIsDetected) {
-  const auto findings =
-      lint_fixture("lockorder_inverted.txt", "src/sim/lockorder_inverted.cpp");
-  EXPECT_EQ(count_rule(findings, "lock-order"), 1);
-  for (const auto& f : findings) {
-    EXPECT_NE(f.message.find("inverted"), std::string::npos) << format(f);
-  }
-}
-
-TEST(AfLint, LockOrderCleanHierarchyHasNoFindings) {
-  const auto findings =
-      lint_fixture("lockorder_clean.txt", "src/sim/lockorder_clean.cpp");
-  for (const auto& f : findings) ADD_FAILURE() << format(f);
-}
-
-TEST(LockOrder, CrossFileCycleIsDetected) {
-  // The two halves of the cycle live in different files: each class's
-  // method is defined out-of-line, and each acquires its own mutex before
-  // the other class's. Only a model spanning both files sees the cycle.
-  const std::vector<SourceFile> files = {
-      {"src/x/locks.h",
-       "#pragma once\n"
-       "namespace af::x {\n"
-       "class Left;\n"
-       "class Right {\n"
-       " public:\n"
-       "  void ping();\n"
-       "  Mutex mu_;\n"
-       "  Left* owner_ = nullptr;\n"
-       "};\n"
-       "class Left {\n"
-       " public:\n"
-       "  void ping();\n"
-       "  Mutex mu_;\n"
-       "  Right right_;\n"
-       "};\n"
-       "}  // namespace af::x\n"},
-      {"src/x/locks.cpp",
-       "#include \"x/locks.h\"\n"
-       "namespace af::x {\n"
-       "void Left::ping() {\n"
-       "  MutexLock a(mu_);\n"
-       "  MutexLock b(right_.mu_);\n"
-       "}\n"
-       "void Right::ping() {\n"
-       "  MutexLock b(mu_);\n"
-       "  MutexLock a(owner_->mu_);\n"
-       "}\n"
-       "}  // namespace af::x\n"}};
-  const auto findings =
-      lockorder::analyze(files, lockorder::default_hierarchy_unanchored());
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "lock-order");
-  EXPECT_NE(findings[0].message.find("cycle"), std::string::npos);
-}
-
-TEST(LockOrder, RealTreeGraphHasAnchorEdgesAndNoCycles) {
-  // The acceptance anchor: the graph built from the real src/ tree must
-  // contain the documented pipeline-mutex -> range-lock-shard edge (and the
-  // order-mutex edge), and check() against the anchored hierarchy must be
-  // clean. If a refactor renames the members or breaks call resolution,
-  // this fails loudly instead of the analysis silently checking nothing.
-  namespace fs = std::filesystem;
-  std::vector<SourceFile> files;
-  const fs::path base = fs::path(AF_LINT_REPO_ROOT) / "src";
-  for (const auto& entry : fs::recursive_directory_iterator(base)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string ext = entry.path().extension().string();
-    if (ext != ".h" && ext != ".cpp") continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    files.push_back(SourceFile{
-        fs::relative(entry.path(), AF_LINT_REPO_ROOT).generic_string(),
-        ss.str()});
-  }
-  const Model model = Model::build(files);
-  const lockorder::Graph graph = lockorder::build_graph(model);
-  EXPECT_TRUE(
-      graph.has_edge("SsdPipeline::mu_", "RangeLockTable::Shard::mu"));
-  EXPECT_TRUE(
-      graph.has_edge("SsdPipeline::mu_", "RangeLockTable::order_mu_"));
-  const auto findings =
-      lockorder::check(graph, lockorder::default_hierarchy());
-  for (const auto& f : findings) ADD_FAILURE() << format(f);
 }
 
 // ---------------------------------------------------------------------------
@@ -435,8 +300,8 @@ TEST(AfLint, SarifGoldenOutput) {
       {"src/nand/flash_array.h", 12, "nodiscard-status",
        "status-returning API 'program' (returns Status) must be "
        "[[nodiscard]]"},
-      {"src/sim/pipeline.cpp", 0, "lock-order",
-       "lock acquisition cycle: \"a\" -> b"},
+      {"src/sim/pipeline.cpp", 0, "status-assigned-unchecked",
+       "Status value \"st\" is assigned but never checked"},
   };
   EXPECT_EQ(to_sarif(fs), read_fixture("golden.sarif"));
 }

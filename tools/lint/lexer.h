@@ -9,8 +9,8 @@
 //   * a real token stream — identifiers, numbers, string/char literals
 //     (including raw strings and encoding prefixes), multi-char operators,
 //     comments and whole preprocessor directives, each with its source line —
-//     which the semantic rules (lock-order graph, iteration dataflow,
-//     status tracking) walk directly, and
+//     which the semantic rules (iteration dataflow, status tracking) walk
+//     directly, and
 //   * blanked "code lines" — byte-aligned with the original lines, with
 //     every comment and literal body replaced by spaces — which the
 //     declaration-shaped line rules still pattern-match against.

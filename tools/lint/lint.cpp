@@ -11,7 +11,6 @@
 #include <string_view>
 
 #include "lexer.h"
-#include "lockorder.h"
 #include "model.h"
 
 namespace af::lint {
@@ -587,73 +586,6 @@ void rule_bench_run_schemes(const FileView& f, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: pipeline-guarded-state
-// ---------------------------------------------------------------------------
-
-void rule_pipeline_guarded_state(const FileView& f, std::vector<Finding>& out) {
-  // Headers in the concurrency-bearing layers (src/ssd, src/sim) that declare
-  // an af::Mutex member are shared between threads; every trailing-underscore
-  // data member there must say how it is synchronized: AF_GUARDED_BY /
-  // AF_PT_GUARDED_BY, std::atomic, or an internally-synchronized type
-  // (Mutex, condition_variable, ThreadPool, RangeLockTable). Everything else
-  // needs an explicit af_lint allow with a justification — "I forgot the
-  // annotation" and "this is thread-confined by design" must look different.
-  if (!ends_with(f.path, ".h")) return;
-  if (!starts_with(f.path, "src/ssd/") && !starts_with(f.path, "src/sim/")) {
-    return;
-  }
-  static const std::regex kMutexMember(
-      R"(^\s*(?:mutable\s+)?(?:af::)?Mutex\s+\w+\s*;)");
-  bool has_mutex = false;
-  for (const std::string& line : f.code) {
-    if (std::regex_search(line, kMutexMember)) {
-      has_mutex = true;
-      break;
-    }
-  }
-  if (!has_mutex) return;
-  // A member declaration: a type, then a trailing-underscore name, ending the
-  // statement (possibly with an initializer). Multi-line declarations whose
-  // annotation sits on a continuation line never end in ';' here and skip.
-  static const std::regex kMember(
-      R"(^\s*[A-Za-z_][\w:<>,\s\*&]*[\s&\*>][A-Za-z_]\w*_\s*(;|=[^=]|\{))");
-  static const char* kSyncTypes[] = {"Mutex", "condition_variable",
-                                     "ThreadPool", "RangeLockTable"};
-  static const char* kSkipLeaders[] = {"static", "const",  "constexpr",
-                                       "using",  "return", "friend",
-                                       "enum",   "#",      "typedef"};
-  for (std::size_t i = 0; i < f.code.size(); ++i) {
-    const std::string& line = f.code[i];
-    if (line.find("AF_GUARDED_BY") != std::string::npos ||
-        line.find("AF_PT_GUARDED_BY") != std::string::npos ||
-        line.find("std::atomic") != std::string::npos) {
-      continue;
-    }
-    // Any other parenthesis means a function declaration or an in-class call.
-    if (line.find('(') != std::string::npos) continue;
-    const auto last = line.find_last_not_of(" \t");
-    if (last == std::string::npos || line[last] != ';') continue;
-    if (!std::regex_search(line, kMember)) continue;
-    const auto first = line.find_first_not_of(" \t");
-    bool skip = false;
-    for (const char* leader : kSkipLeaders) {
-      if (line.compare(first, std::string(leader).size(), leader) == 0) {
-        skip = true;
-        break;
-      }
-    }
-    for (const char* type : kSyncTypes) {
-      if (line.find(type) != std::string::npos) skip = true;
-    }
-    if (skip) continue;
-    report(f, out, i, "pipeline-guarded-state",
-           "shared mutable member in a mutex-bearing ssd/sim header without "
-           "AF_GUARDED_BY / std::atomic — annotate the guard, or justify "
-           "thread confinement with an af_lint allow comment");
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Semantic rules (model-based)
 // ---------------------------------------------------------------------------
 
@@ -906,16 +838,9 @@ void rule_status_unchecked(const FunctionInfo& fn,
   }
 }
 
-/// Runs the three semantic rules over a prebuilt model. `tree_mode` demands
-/// the lock-order anchor edge (full-tree runs only).
-std::vector<Finding> semantic_findings(const Model& model, bool tree_mode) {
+/// Runs the two semantic rules over a prebuilt model.
+std::vector<Finding> semantic_findings(const Model& model) {
   std::vector<Finding> sem;
-  const lockorder::Hierarchy hierarchy =
-      tree_mode ? lockorder::default_hierarchy()
-                : lockorder::default_hierarchy_unanchored();
-  for (auto& f : lockorder::check(lockorder::build_graph(model), hierarchy)) {
-    if (starts_with(f.file, "src")) sem.push_back(std::move(f));
-  }
   for (const FunctionInfo& fn : model.functions()) {
     const std::vector<Token>* toks = model.tokens(fn.file);
     if (toks == nullptr) continue;
@@ -949,7 +874,6 @@ void run_line_rules(const FileView& f, std::vector<Finding>& out) {
   rule_integrity_status(f, out);
   rule_nodiscard_space_status(f, out);
   rule_bench_run_schemes(f, out);
-  rule_pipeline_guarded_state(f, out);
 }
 
 void append_filtered(const FileView& f, std::vector<Finding>&& sem,
@@ -977,7 +901,7 @@ std::vector<Finding> lint_content(const std::string& display_path,
       starts_with(display_path, "bench/")) {
     const Model model =
         Model::build({SourceFile{display_path, content}});
-    append_filtered(f, semantic_findings(model, /*tree_mode=*/false), out);
+    append_filtered(f, semantic_findings(model), out);
   }
   return out;
 }
@@ -1008,10 +932,10 @@ std::vector<Finding> lint_tree(const std::string& root) {
       views.emplace(display, std::move(view));
     }
   }
-  // Semantic rules run once over the shared src/+bench/ model, so the
-  // lock-order graph spans files; suppressions are honoured per file.
+  // Semantic rules run once over the shared src/+bench/ model, so member
+  // types resolve across files; suppressions are honoured per file.
   const Model model = Model::build(model_files);
-  for (auto& s : semantic_findings(model, /*tree_mode=*/true)) {
+  for (auto& s : semantic_findings(model)) {
     const auto it = views.find(s.file);
     const std::size_t idx =
         s.line > 0 ? static_cast<std::size_t>(s.line - 1) : 0;
@@ -1060,12 +984,6 @@ const std::vector<RuleMeta>& rule_catalogue() {
       {"bench-run-schemes",
        "multi-scheme benches go through bench::run_schemes, not hand-rolled "
        "replay loops"},
-      {"pipeline-guarded-state",
-       "shared members in mutex-bearing ssd/sim headers need AF_GUARDED_BY / "
-       "std::atomic or a justified allow"},
-      {"lock-order",
-       "the cross-file lock acquisition graph must stay acyclic and respect "
-       "the pipeline-mutex -> range-lock-shard hierarchy"},
       {"nondet-iteration-order",
        "unordered-container iteration must not feed serialization/ordering "
        "sinks — collect and sort first"},

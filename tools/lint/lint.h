@@ -3,16 +3,17 @@
 // v2 is built on a real C++ token stream (lexer.h) and a small cross-file
 // semantic model (model.h): comments, raw strings and preprocessor
 // directives are lexed properly, suppressions are collected from comment
-// tokens only, and three semantic rules (lock-order, nondet-iteration-order,
+// tokens only, and two semantic rules (nondet-iteration-order,
 // status-assigned-unchecked) walk the model. The declaration-shaped rules
 // below still pattern-match line-wise — against the lexer's blanked code
 // view, so a rule token inside a raw string can no longer fire and a
-// multi-line literal can no longer leak into "code". Rules:
+// multi-line literal can no longer leak into "code". The 12 rules:
 //
 //   pragma-once        every header uses #pragma once
 //   nodiscard-status   status/bool-returning FTL/flash APIs in src headers
 //                      are [[nodiscard]] (a dropped program() status or
 //                      completion time is a silent correctness bug)
+//   nodiscard-recovery mount/recovery APIs in src headers are [[nodiscard]]
 //   check-side-effects AF_CHECK/AF_CHECK_MSG conditions must be pure —
 //                      checks are always-on, but a reader must be able to
 //                      delete one without changing behaviour
@@ -20,6 +21,8 @@
 //                      src/common (the ThreadPool owns all threads)
 //   no-nondeterminism  std::rand/random_device/wall clocks only inside
 //                      src/common (the simulator must replay bit-identically)
+//   integrity-status   statement-position flash_read calls in src/ discard
+//                      the data-integrity verdict
 //   bench-run-schemes  bench binaries replaying several schemes go through
 //                      bench::run_schemes, never a hand-rolled
 //                      trace::replay loop (keeps fan-out + determinism
@@ -30,18 +33,6 @@
 //                      trim, note_trim) in src/ discard the admission
 //                      verdict / stall / completion / tombstone seq — the
 //                      caller must consume it or (void)-discard explicitly
-//   pipeline-guarded-state
-//                      src/ssd + src/sim headers that declare a Mutex member
-//                      are shared between pipeline threads: every mutable
-//                      trailing-underscore data member must carry
-//                      AF_GUARDED_BY / AF_PT_GUARDED_BY / std::atomic, be an
-//                      internally-synchronized type, or justify its thread
-//                      confinement with an allow comment
-//   lock-order         the cross-file lock-acquisition graph (lockorder.h)
-//                      must stay acyclic and respect the documented
-//                      pipeline-mutex -> range-lock-shard order; the
-//                      full-tree run also demands the documented edge still
-//                      resolves, so the analysis cannot silently go vacuous
 //   nondet-iteration-order
 //                      range-for over an unordered_map/unordered_set member
 //                      whose loop body reaches a serialization / table /
@@ -87,14 +78,13 @@ struct Finding {
 /// repo-relative path like "src/nand/flash_array.h" — several rules key off
 /// the directory). Exposed separately from lint_tree so tests can feed
 /// synthetic snippets under any pseudo-path. Semantic rules run against a
-/// single-file model here (cross-file resolution and the lock-order anchor
-/// are only demanded of lint_tree).
+/// single-file model here (cross-file resolution needs lint_tree).
 [[nodiscard]] std::vector<Finding> lint_content(const std::string& display_path,
                                                 const std::string& content);
 
 /// Lints every *.h / *.cpp under root/{src,bench,tests,examples,tools}.
 /// Line rules run per file; the semantic rules run once against a shared
-/// model of src/ + bench/, so the lock-order graph spans files.
+/// model of src/ + bench/, so member types resolve across files.
 [[nodiscard]] std::vector<Finding> lint_tree(const std::string& root);
 
 /// "file:line: [rule] message" — the clickable compiler-style form.

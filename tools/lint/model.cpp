@@ -235,23 +235,6 @@ class FileParser {
     } else if (class_idx >= 0) {
       fn.cls = classes_[static_cast<std::size_t>(class_idx)].name;
     }
-    // AF_REQUIRES / AF_EXCLUSIVE_LOCKS_REQUIRED argument names after the
-    // parameter list.
-    for (std::size_t j = name_at + 1; j + 1 < p.size(); ++j) {
-      if (tok(p[j]).kind == Tok::kIdent &&
-          (tok(p[j]).text == "AF_REQUIRES" ||
-           tok(p[j]).text == "AF_EXCLUSIVE_LOCKS_REQUIRED") &&
-          is_punct(tok(p[j + 1]), "(")) {
-        int depth = 0;
-        for (std::size_t m = j + 1; m < p.size(); ++m) {
-          if (is_punct(tok(p[m]), "(")) ++depth;
-          if (is_punct(tok(p[m]), ")") && --depth == 0) break;
-          if (tok(p[m]).kind == Tok::kIdent) {
-            fn.requires_caps.push_back(tok(p[m]).text);
-          }
-        }
-      }
-    }
     functions_.push_back(std::move(fn));
   }
 
@@ -281,8 +264,7 @@ class FileParser {
       }
     }
     if (limit == 0) return;
-    // Trailing AF_GUARDED_BY / AF_PT_GUARDED_BY(...) annotation.
-    std::string guard;
+    // Drop a trailing AF_GUARDED_BY / AF_PT_GUARDED_BY(...) annotation.
     if (limit >= 4 && is_punct(tok(p[limit - 1]), ")")) {
       // Find the group's opening paren and its head.
       int d = 0;
@@ -297,10 +279,6 @@ class FileParser {
       if (openk > 0 && tok(p[openk - 1]).kind == Tok::kIdent &&
           (tok(p[openk - 1]).text == "AF_GUARDED_BY" ||
            tok(p[openk - 1]).text == "AF_PT_GUARDED_BY")) {
-        for (std::size_t m = openk + 1; m + 1 < limit; ++m) {
-          if (!guard.empty()) guard += " ";
-          guard += tok(p[m]).text;
-        }
         limit = openk - 1;
       }
     }
@@ -316,14 +294,12 @@ class FileParser {
     MemberVar m;
     m.name = tok(p[limit - 1]).text;
     m.line = tok(p[limit - 1]).line;
-    m.guarded_by = guard;
     // Type head: skip leading cv/storage words, then join ident::ident…
     std::size_t k = 0;
     while (k + 1 < limit && tok(p[k]).kind == Tok::kIdent &&
            (tok(p[k]).text == "const" || tok(p[k]).text == "mutable" ||
             tok(p[k]).text == "volatile" || tok(p[k]).text == "inline" ||
             tok(p[k]).text == "constexpr")) {
-      if (tok(p[k]).text == "mutable") m.mutable_decl = true;
       ++k;
     }
     std::string head;
@@ -391,19 +367,6 @@ const ClassInfo* Model::resolve_class(const std::string& name) const {
     found = &c;
   }
   return found;
-}
-
-const FunctionInfo* Model::resolve_function(const std::string& cls,
-                                            const std::string& name) const {
-  for (const auto& f : functions_) {
-    if (f.name != name) continue;
-    if (cls.empty() ? f.cls.empty()
-                    : (qualified_suffix_match(f.cls, cls) ||
-                       qualified_suffix_match(cls, f.cls))) {
-      return &f;
-    }
-  }
-  return nullptr;
 }
 
 const MemberVar* Model::resolve_member(const std::string& cls,

@@ -3,22 +3,18 @@
 // Built from the token stream (lexer.h), one pass per file: namespaces and
 // class/struct scopes are tracked by brace nesting, member variables are
 // recorded with their type head (the qualified name before any template
-// argument list — "std::unordered_map", "af::Mutex", "ssd::RangeLockTable"),
-// and every function body's token extent is captured together with its
-// enclosing class and any AF_REQUIRES / AF_EXCLUSIVE_LOCKS_REQUIRED
-// capability list. That is deliberately far short of a C++ parser — no
+// argument list — "std::unordered_map", "af::Mutex", "ssd::Oracle"), and
+// every function body's token extent is captured together with its
+// enclosing class. That is deliberately far short of a C++ parser — no
 // overload resolution, no templates, no typedef chasing — but it is enough
 // for the semantic rules:
 //
-//   * the lock-order analyzer resolves `locks_.eligible(...)` to
-//     RangeLockTable::eligible via the member's type head and follows the
-//     call with its held-lock set;
 //   * the determinism rule resolves `for (auto& kv : packed_)` in
 //     mrsm_ftl.cpp to the std::unordered_map member declared in mrsm_ftl.h;
 //   * the status rule walks declared-function body extents.
 //
-// Name resolution is by qualified-name *suffix* ("Shard" resolves to
-// "af::ssd::RangeLockTable::Shard"), which is unambiguous in this tree and
+// Name resolution is by qualified-name *suffix* ("Oracle" resolves to
+// "af::ssd::Oracle"), which is unambiguous in this tree and
 // keeps the model independent of using-directives.
 #pragma once
 
@@ -35,8 +31,6 @@ struct MemberVar {
   std::string name;       // as declared, e.g. "packed_"
   std::string type_head;  // qualified head, e.g. "std::unordered_map"
   int line = 0;
-  bool mutable_decl = false;
-  std::string guarded_by;  // AF_GUARDED_BY argument, "" if unannotated
 };
 
 struct FunctionInfo {
@@ -46,11 +40,10 @@ struct FunctionInfo {
   int line = 0;
   std::size_t body_begin = 0;  // token index of the opening '{'
   std::size_t body_end = 0;    // token index one past the closing '}'
-  std::vector<std::string> requires_caps;  // raw AF_REQUIRES argument names
 };
 
 struct ClassInfo {
-  std::string name;  // fully qualified, e.g. "af::ssd::RangeLockTable::Shard"
+  std::string name;  // fully qualified, e.g. "af::ssd::Engine::DeadlineLedger"
   std::string file;
   int line = 0;
   std::vector<MemberVar> members;
@@ -85,16 +78,10 @@ class Model {
   [[nodiscard]] const std::vector<Token>* tokens(const std::string& path) const;
 
   /// Resolves a possibly-qualified type name to a known class by
-  /// qualified-name suffix match ("Shard", "RangeLockTable::Shard" and
-  /// "af::ssd::RangeLockTable::Shard" all resolve the same). Returns nullptr
-  /// when unknown or ambiguous.
+  /// qualified-name suffix match ("Oracle", "ssd::Oracle" and
+  /// "af::ssd::Oracle" all resolve the same). Returns nullptr when unknown
+  /// or ambiguous.
   [[nodiscard]] const ClassInfo* resolve_class(const std::string& name) const;
-
-  /// Finds a member function by (qualified class suffix, name); nullptr when
-  /// absent. Overloads collapse to the first definition — good enough for
-  /// lock acquisition summaries, which are per-name conventions here anyway.
-  [[nodiscard]] const FunctionInfo* resolve_function(
-      const std::string& cls, const std::string& name) const;
 
   /// Looks up `name` as a member of `cls` or any of its enclosing classes
   /// (an inner class's method may name an outer member).
