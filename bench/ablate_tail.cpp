@@ -1,11 +1,11 @@
 // Ablation — fail-slow severity x deadline policy sweep (DESIGN.md §11).
 // Replays a read-mostly trace (the regime deadline scheduling targets) while
 // two dies cycle through sick episodes at a growing latency multiplier, and
-// prices each layer of the tail-latency machinery: GC/erase suspend-resume
-// (preempt), hedged parity-reconstruct reads (hedge) and sick-die quarantine
-// steering. The "off" rows double as the regression anchor: with a healthy
-// array (x1) every policy must reproduce the off row's latencies — the
-// machinery never fires without a stalled read to rescue.
+// prices the tail-latency machinery: a read deadline arming GC/erase
+// suspend-resume and sick-die quarantine steering (preempt). The "off" rows
+// double as the regression anchor: with a healthy array (x1) the preempt
+// row must reproduce the off row's latencies — the machinery never fires
+// without a stalled read to rescue.
 #include <cstdio>
 #include <iostream>
 
@@ -17,9 +17,9 @@ int main() {
   using namespace af;
   auto base_config = bench::device(8);
   base_config.integrity.parity_stripe_width = 8;
-  // Chip-rotating allocation in every row (hedging switches to it anyway —
-  // reconstruct peers must live on other chips), so the policy deltas are
-  // pure deadline machinery, not placement.
+  // Chip-rotating allocation in every row, as a queued host sees it (the
+  // serial replay reads the pipeline config for placement only), so the
+  // policy deltas are pure deadline machinery, not placement.
   base_config.pipeline.queue_depth = 2;
   bench::print_header("Ablation: fail-slow severity x deadline policy",
                       base_config);
@@ -47,38 +47,24 @@ int main() {
       {"x6", 6.0, 600, 1200},
       {"x20", 20.0, 600, 1200},
   };
-  struct Policy {
-    const char* label;
-    bool armed;    // read deadline + retry-free ladder
-    bool preempt;  // GC/erase suspend-resume
-    bool hedge;    // parity-reconstruct hedges
-  };
-  const Policy policies[] = {
-      {"off", false, false, false},
-      {"preempt", true, true, false},
-      {"preempt+hedge", true, true, true},
-  };
-
   std::printf("episodes: 2 dies, 600 sick / 1200 healthy ops; deadline 5 ms, "
-              "hedge at 5 ms, quarantine after 40 misses\n\n");
+              "quarantine after 40 misses\n\n");
 
   Table table({"scheme", "severity", "policy", "read p99 ms", "p999 ms",
-               "suspends", "ceiling", "hedges", "wins", "misses",
-               "quarantines"});
+               "suspends", "ceiling", "misses", "quarantines"});
   for (const Severity& sev : severities) {
     auto sev_config = base_config;
     sev_config.faults.slow_multiplier = sev.multiplier;
     sev_config.faults.slow_episode_ops = sev.episode_ops;
     sev_config.faults.slow_gap_ops = sev.gap_ops;
     sev_config.faults.slow_dies = 2;
-    for (const Policy& policy : policies) {
+    for (const bool preempt : {false, true}) {
       auto config = sev_config;
-      if (policy.armed) {
+      if (preempt) {
         config.deadline.read_deadline_us = 5000;
         config.deadline.max_retries = 0;
-        config.deadline.preempt = policy.preempt;
+        config.deadline.preempt = true;
         config.deadline.quarantine_misses = 40;
-        if (policy.hedge) config.deadline.hedge_after_us = 5000;
       }
       for (auto kind : bench::all_schemes()) {
         // af_lint: allow(bench-run-schemes) — the sweep grid is the fan-out
@@ -87,12 +73,11 @@ int main() {
         const auto reads = result.stats.all_reads();
         const auto& tail = result.stats.tail();
         table.add_row(
-            {result.scheme, sev.label, policy.label,
+            {result.scheme, sev.label, preempt ? "preempt" : "off",
              Table::num(reads.p99_ns() / 1e6, 2),
              Table::num(reads.p999_ns() / 1e6, 2),
              Table::num(tail.erase_suspends + tail.program_suspends),
              Table::num(tail.suspend_ceiling_hits),
-             Table::num(tail.hedged_reads), Table::num(tail.hedge_wins),
              Table::num(tail.deadline_misses), Table::num(tail.quarantines)});
       }
     }

@@ -29,9 +29,9 @@
 //
 // (g) prices the tail-latency subsystem (DESIGN.md §11): the same trace with
 // a fail-slow fault model injected (sick-die episodes at a latency
-// multiplier), replayed per deadline policy — off / preempt /
-// preempt+hedge — so the read p99/p999 reduction from GC suspend-resume and
-// hedged parity-reconstruct reads lands in the JSON's "tail" section.
+// multiplier), replayed per deadline policy — off / preempt — so the read
+// p99/p999 reduction from GC suspend-resume lands in the JSON's "tail"
+// section.
 //
 // (h, --open-loop) replays through the pipeline in open-loop arrival mode:
 // requests issue at their trace timestamps instead of the closed-loop QD
@@ -179,7 +179,7 @@ struct PipelineRow {
 
 struct TailRow {
   std::string scheme;
-  std::string policy;  // "off" | "preempt" | "preempt+hedge"
+  std::string policy;  // "off" | "preempt"
   double wall_s = 0;
   trace::ReplayResult result;
 };
@@ -383,8 +383,7 @@ void write_json(const std::string& path, const ssd::SsdConfig& config,
                "  \"tail\": {\"slow_multiplier\": %.2f, "
                "\"slow_episode_ops\": %llu, \"slow_gap_ops\": %llu, "
                "\"slow_dies\": %u, \"read_deadline_us\": %llu, "
-               "\"hedge_after_us\": %llu, \"quarantine_misses\": %u, "
-               "\"replays\": [\n",
+               "\"quarantine_misses\": %u, \"replays\": [\n",
                tail_config.faults.slow_multiplier,
                static_cast<unsigned long long>(
                    tail_config.faults.slow_episode_ops),
@@ -392,8 +391,6 @@ void write_json(const std::string& path, const ssd::SsdConfig& config,
                tail_config.faults.slow_dies,
                static_cast<unsigned long long>(
                    tail_config.deadline.read_deadline_us),
-               static_cast<unsigned long long>(
-                   tail_config.deadline.hedge_after_us),
                tail_config.deadline.quarantine_misses);
   for (std::size_t i = 0; i < tail_rows.size(); ++i) {
     const auto& row = tail_rows[i];
@@ -406,18 +403,15 @@ void write_json(const std::string& path, const ssd::SsdConfig& config,
     }
     const auto& tail = row.result.stats.tail();
     const auto& gc_reads = row.result.stats.op_latency(ssd::OpKind::kGcRead);
-    const auto& hedge_reads =
-        row.result.stats.op_latency(ssd::OpKind::kRebuildRead);
     std::fprintf(
         f,
         "    {\"scheme\": \"%s\", \"policy\": \"%s\", \"wall_s\": %.3f, "
         "\"read_p50_ms\": %.4f, \"read_p99_ms\": %.4f, "
         "\"read_p999_ms\": %.4f, \"read_max_ms\": %.4f, "
         "\"p99_vs_off\": %.3f, \"gc_read_p99_ms\": %.4f, "
-        "\"hedge_read_p99_ms\": %.4f, \"erase_suspends\": %llu, "
+        "\"erase_suspends\": %llu, "
         "\"program_suspends\": %llu, \"resume_overhead_ms\": %.3f, "
         "\"ceiling_hits\": %llu, \"nesting_hits\": %llu, "
-        "\"hedged_reads\": %llu, \"hedge_wins\": %llu, "
         "\"deadline_misses\": %llu, \"deadline_retries\": %llu, "
         "\"deadline_exceeded\": %llu, \"quarantines\": %llu, "
         "\"unquarantines\": %llu}%s\n",
@@ -425,14 +419,12 @@ void write_json(const std::string& path, const ssd::SsdConfig& config,
         reads.p50_ns() / 1e6, reads.p99_ns() / 1e6, reads.p999_ns() / 1e6,
         reads.max_ns() / 1e6,
         off_p99 > 0 ? reads.p99_ns() / off_p99 : 0.0,
-        gc_reads.percentile(99) / 1e6, hedge_reads.percentile(99) / 1e6,
+        gc_reads.percentile(99) / 1e6,
         static_cast<unsigned long long>(tail.erase_suspends),
         static_cast<unsigned long long>(tail.program_suspends),
         static_cast<double>(tail.resume_overhead_ns) / 1e6,
         static_cast<unsigned long long>(tail.suspend_ceiling_hits),
         static_cast<unsigned long long>(tail.suspend_nesting_hits),
-        static_cast<unsigned long long>(tail.hedged_reads),
-        static_cast<unsigned long long>(tail.hedge_wins),
         static_cast<unsigned long long>(tail.deadline_misses),
         static_cast<unsigned long long>(tail.deadline_retries),
         static_cast<unsigned long long>(tail.deadline_exceeded),
@@ -759,10 +751,9 @@ int main(int argc, char** argv) {
   const auto tail_tr = trace::generate(tail_profile, addressable);
   auto tail_base = config;
   tail_base.integrity.parity_stripe_width = parity_width;
-  // Chip-rotating allocation in every row (hedging switches to it anyway —
-  // reconstruct peers must live on other chips), so the policy deltas are
-  // pure deadline machinery, not placement. The serial replay reads
-  // pipeline config for placement only.
+  // Chip-rotating allocation in every row, as a queued host sees it, so the
+  // policy deltas are pure deadline machinery, not placement. The serial
+  // replay reads pipeline config for placement only.
   tail_base.pipeline.queue_depth = 2;
   tail_base.faults.slow_multiplier = 20.0;
   tail_base.faults.slow_episode_ops = 600;
@@ -772,25 +763,16 @@ int main(int argc, char** argv) {
   tail_armed.deadline.read_deadline_us = 5000;
   tail_armed.deadline.max_retries = 0;
   tail_armed.deadline.quarantine_misses = 40;
-  struct TailPolicy {
-    const char* name;
-    bool preempt;
-    bool hedge;
-  };
-  constexpr TailPolicy kPolicies[] = {{"off", false, false},
-                                      {"preempt", true, false},
-                                      {"preempt+hedge", true, true}};
+  tail_armed.deadline.preempt = true;
   std::vector<TailRow> tail_rows;
   Table tail_table({"scheme", "policy", "read p99 ms", "p999 ms", "vs off",
-                    "suspends", "hedges", "wins", "quarantines", "wall (s)"});
+                    "suspends", "quarantines", "wall (s)"});
   for (auto kind : bench::all_schemes()) {
     double off_p99 = 0;
-    for (const auto& policy : kPolicies) {
+    for (const bool preempt : {false, true}) {
       TailRow row;
-      row.policy = policy.name;
-      auto tail_config = policy.preempt ? tail_armed : tail_base;
-      tail_config.deadline.preempt = policy.preempt;
-      if (policy.hedge) tail_config.deadline.hedge_after_us = 5000;
+      row.policy = preempt ? "preempt" : "off";
+      const auto& tail_config = preempt ? tail_armed : tail_base;
       const double t0 = now_s();
       // Lighter aging than the default replay: the chaos rows measure
       // fail-slow episodes, not GC-debt saturation, so the device starts
@@ -802,14 +784,13 @@ int main(int argc, char** argv) {
       row.wall_s = now_s() - t0;
       row.scheme = row.result.scheme;
       const auto reads = row.result.stats.all_reads();
-      if (!policy.preempt) off_p99 = reads.p99_ns();
+      if (!preempt) off_p99 = reads.p99_ns();
       const auto& tail = row.result.stats.tail();
       tail_table.add_row(
           {row.scheme, row.policy, Table::num(reads.p99_ns() / 1e6, 2),
            Table::num(reads.p999_ns() / 1e6, 2),
            Table::num(off_p99 > 0 ? reads.p99_ns() / off_p99 : 1.0, 2) + "x",
            Table::num(tail.erase_suspends + tail.program_suspends),
-           Table::num(tail.hedged_reads), Table::num(tail.hedge_wins),
            Table::num(tail.quarantines), Table::num(row.wall_s, 2)});
       tail_rows.push_back(std::move(row));
     }
@@ -960,11 +941,9 @@ int main(int argc, char** argv) {
   // getenv after the pool has been joined; no concurrent env access.
   const char* json =
       std::getenv("ACROSS_FTL_PERF_JSON");  // NOLINT(concurrency-mt-unsafe)
-  auto tail_json_config = tail_armed;
-  tail_json_config.deadline.hedge_after_us = 5000;
   write_json(json != nullptr ? json : "BENCH_perf.json", config, trace_name,
              rows, ckpt_rows, kCkptInterval, rel_rows, rel_config, victims,
-             pipeline_rows, tail_rows, tail_json_config, open_rows, qos_rows,
+             pipeline_rows, tail_rows, tail_armed, open_rows, qos_rows,
              qos_armed, crashes, spec);
   return 0;
 }

@@ -27,8 +27,6 @@ af::ssd::SsdConfig soak_config(bool wear_leveling) {
   // odds grow 3 % per further erase, so spares drain within the op budget.
   config.faults.wear_onset = 18;
   config.faults.wear_slope = 0.03;
-  config.capacity.throttle_window_blocks = 2;
-  config.capacity.throttle_ns_per_block = 20'000;
   config.capacity.wear_spread_threshold = wear_leveling ? 6 : 0;
   config.checkpoint.interval_requests = 32;
   return config;
@@ -55,7 +53,7 @@ int main() {
               static_cast<unsigned long long>(budget));
 
   Table table({"scheme", "wear lvl", "stage", "ops", "mounts", "erases",
-               "retired", "spread", "stalls", "trims", "free pgs"});
+               "retired", "spread", "trims", "free pgs"});
 
   for (const ftl::SchemeKind kind : bench::all_schemes()) {
     for (const bool wear : {false, true}) {
@@ -68,7 +66,6 @@ int main() {
       std::uint64_t ops = 0;
       std::uint64_t mounts = 0;
       std::uint64_t total_trims = 0;
-      std::uint64_t total_stalls = 0;
       std::uint64_t total_erases = 0;
       std::uint64_t next_stage = 5'000;  // EOL lands in the low tens of
                                          // thousands at this wear ramp
@@ -80,8 +77,6 @@ int main() {
                        Table::num(total_erases + ssd->stats().erases()),
                        Table::num(array.counters().retired_blocks),
                        Table::num(array.wear().spread()),
-                       Table::num(total_stalls +
-                                  ssd->stats().faults().throttle_stalls),
                        Table::num(total_trims + ssd->stats().faults().trims),
                        Table::num(ssd->engine().free_headroom_pages())});
       };
@@ -89,7 +84,6 @@ int main() {
       // accumulate across all the device's incarnations.
       const auto bank = [&] {
         total_trims += ssd->stats().faults().trims;
-        total_stalls += ssd->stats().faults().throttle_stalls;
         total_erases += ssd->stats().erases();
       };
 

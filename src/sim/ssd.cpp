@@ -252,10 +252,8 @@ Ssd::Completion Ssd::service(const ftl::IoRequest& req, SimTime anchor) {
       req.trim ? 0
                : (is_read ? dl.read_deadline_us : dl.write_deadline_us) * 1000;
   auto arm_ledger = [&](SimTime issue) {
-    engine_->set_deadline_ledger(ssd::Engine::DeadlineLedger{
-        issue + budget_ns,
-        is_read && dl.hedge_after_us > 0 ? issue + dl.hedge_after_us * 1000
-                                         : SimTime{0}});
+    engine_->set_deadline_ledger(
+        ssd::Engine::DeadlineLedger{issue + budget_ns});
   };
   if (budget_ns > 0) arm_ledger(req.arrival);
 

@@ -103,18 +103,15 @@ struct SsdConfig {
   };
   IntegrityConfig integrity;
 
-  /// Capacity-pressure subsystem (DESIGN.md §9). Zero-default: the write
-  /// throttle and wear leveling are off, and while the TRIM path and the
-  /// kNoSpace admission check are always armed, they only act when the host
-  /// actually sends trims or fills the device past what GC can sustain —
-  /// situations the default benches never create, so a default-config run is
-  /// bit-identical to a build without the subsystem.
+  /// Capacity-pressure subsystem (DESIGN.md §9). Zero-default: wear
+  /// leveling is off, and while the TRIM path and the kNoSpace admission
+  /// check are always armed, they only act when the host actually sends
+  /// trims or fills the device past what GC can sustain — situations the
+  /// default benches never create, so a default-config run is bit-identical
+  /// to a build without the subsystem.
   struct CapacityPolicy {
-    /// GC-debt write-pacing valve: a host data program issued while its
-    /// plane holds fewer than plane_trigger + throttle_window_blocks free
-    /// blocks stalls throttle_ns_per_block × shortfall before hitting flash
-    /// (the stall rides the request latency, so it surfaces as p-latency).
-    /// 0 = valve off.
+    /// Ignored: the GC-debt write throttle they paced was removed (DESIGN.md
+    /// §9.2). Kept so existing callers that set them still compile.
     std::uint32_t throttle_window_blocks = 0;
     std::uint64_t throttle_ns_per_block = 0;
 
@@ -131,9 +128,6 @@ struct SsdConfig {
     /// gc_reserve_blocks + this margin (frontier + GC need room to turn).
     std::uint32_t no_space_margin_blocks = 2;
 
-    [[nodiscard]] bool throttle_enabled() const {
-      return throttle_window_blocks > 0 && throttle_ns_per_block > 0;
-    }
     [[nodiscard]] bool wear_enabled() const {
       return wear_spread_threshold > 0;
     }
@@ -165,8 +159,8 @@ struct SsdConfig {
 
   /// Tail-latency / deadline subsystem (DESIGN.md §11). Zero-default: with
   /// both deadlines at 0 no ledger is kept, no background op is ever
-  /// suspended, no hedge fires and no die is quarantined, so a
-  /// default-config run is bit-identical to a build without the subsystem.
+  /// suspended and no die is quarantined, so a default-config run is
+  /// bit-identical to a build without the subsystem.
   /// All times are simulated; the subsystem keys off request arrival
   /// timestamps and the engine op-clock, never a wall clock.
   struct DeadlineConfig {
@@ -174,8 +168,8 @@ struct SsdConfig {
     /// its arrival timestamp. 0 = no deadline for that direction.
     std::uint64_t read_deadline_us = 0;
     std::uint64_t write_deadline_us = 0;
-    /// Fire a hedged parity-reconstruct read when the primary sensing would
-    /// finish later than arrival + this (requires parity stripes). 0 = off.
+    /// Ignored: hedged parity-reconstruct reads were removed (DESIGN.md
+    /// §11.4). Kept so existing callers that set it still compile.
     std::uint64_t hedge_after_us = 0;
     /// Retry-with-backoff ladder for reads that still miss their deadline:
     /// up to this many re-issues before the completion surfaces
@@ -200,7 +194,6 @@ struct SsdConfig {
     [[nodiscard]] bool enabled() const {
       return read_deadline_us > 0 || write_deadline_us > 0;
     }
-    [[nodiscard]] bool hedging() const { return hedge_after_us > 0; }
   };
   DeadlineConfig deadline;
 
@@ -212,14 +205,12 @@ struct SsdConfig {
   struct QosPolicy {
     /// Number of tenants sharing the device. 0 or 1 = subsystem off.
     std::uint32_t tenants = 0;
-    /// Give each tenant its own data-write stream (frontier blocks per
-    /// plane), so tenants never co-mingle pages in a block and GC relocates
-    /// — and charges — each tenant's garbage separately.
+    /// Give each tenant its own pair of write streams (frontier blocks per
+    /// plane): host writes fill the tenant's data slot, GC relocations of
+    /// its pages the tenant's GC slot. Tenants never co-mingle pages in a
+    /// block, and GC relocates — and charges — each tenant's garbage
+    /// separately.
     bool per_tenant_streams = true;
-    /// Split each tenant's stream in two: host writes go to the hot
-    /// frontier, GC relocations of that tenant's pages to the cold one
-    /// (generational separation within the tenant).
-    bool hot_cold_split = false;
     /// Token-bucket admission, per tenant: sustained rate and burst depth in
     /// sectors. A request finding the bucket dry is stalled (simulated) until
     /// its tokens accrue; the stall rides the recorded latency. 0 rate =

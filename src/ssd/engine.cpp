@@ -26,7 +26,7 @@ Engine::Engine(const SsdConfig& config, nand::FlashArray image, bool adopted)
                "mounted flash image does not match the configured geometry");
   const auto planes = config_.geometry.total_planes();
   if (config_.qos.streams_enabled()) {
-    stream_slots_ += config_.qos.tenants * (config_.qos.hot_cold_split ? 2 : 1);
+    stream_slots_ += config_.qos.tenants * 2;  // data + GC slot each
     // The OOB stream stamp is a byte; plenty for any sane tenant count.
     AF_CHECK_MSG(stream_slots_ <= 0xff, "too many tenant stream slots");
   }
@@ -121,7 +121,7 @@ ReadResult Engine::flash_read(Ppn ppn, OpKind kind, SimTime ready) {
     ++stats_.faults().read_retries;
     done = sched_read(ppn, kind, done);
   }
-  if (!ber_on) return {maybe_hedge(ppn, done), ReadStatus::kOk};
+  if (!ber_on) return {done, ReadStatus::kOk};
 
   // Latent bit errors: one Poisson draw per sensing at the page's current
   // intensity. Within the ECC engine's strength the read just succeeds.
@@ -129,7 +129,7 @@ ReadResult Engine::flash_read(Ppn ppn, OpKind kind, SimTime ready) {
   std::uint32_t errors = array_.draw_read_errors(ppn);
   stats_.faults().raw_bit_errors += errors;
   if (errors <= icfg.ecc_correctable_bits) {
-    return {maybe_hedge(ppn, done), ReadStatus::kOk};
+    return {done, ReadStatus::kOk};
   }
 
   // ECC read-retry ladder: each step re-senses with tuned reference
@@ -147,7 +147,7 @@ ReadResult Engine::flash_read(Ppn ppn, OpKind kind, SimTime ready) {
     stats_.faults().raw_bit_errors += errors;
     if (errors <= icfg.ecc_correctable_bits) {
       ++stats_.faults().ecc_retry_recoveries;
-      return {maybe_hedge(ppn, done), ReadStatus::kEccRetried};
+      return {done, ReadStatus::kEccRetried};
     }
   }
   ++stats_.faults().uncorrectable_reads;
@@ -275,41 +275,6 @@ SimTime Engine::sched_read(Ppn ppn, OpKind kind, SimTime ready, bool account) {
   return done;
 }
 
-SimTime Engine::maybe_hedge(Ppn ppn, SimTime done) {
-  if (!ledger_ || ledger_->hedge_at == 0 || stripes_ == nullptr) return done;
-  if (done <= ledger_->hedge_at) return done;
-  const StripeTracker::Stripe* stripe = stripes_->stripe_of(ppn);
-  if (stripe == nullptr) return done;
-  // Race the stalled primary with a parity reconstruct from the stripe's
-  // peers, launched at the hedge point. The peer sensings fan out across
-  // their own chips (each scheduled from the same start), so the reconstruct
-  // completes when the slowest peer does; the first of the two completions
-  // wins. Both paths' device time is charged — hedging buys latency with
-  // bandwidth. Peer payloads XOR to the primary's, so the oracle is
-  // indifferent to which side won.
-  ++stats_.tail().hedged_reads;
-  SimTime hedge_done = ledger_->hedge_at;
-  auto peer_sense = [&](Ppn peer) {
-    array_.note_read(peer);
-    if (config_.faults.ber_enabled()) ++stats_.faults().read_disturb_reads;
-    stats_.count_flash_op(OpKind::kRebuildRead);
-    const SimTime t =
-        sched_read(peer, OpKind::kRebuildRead, ledger_->hedge_at,
-                   /*account=*/false);
-    hedge_done = std::max(hedge_done, t);
-  };
-  for (const Ppn peer : stripe->members) {
-    if (peer.get() == ppn.get()) continue;
-    peer_sense(peer);
-  }
-  peer_sense(stripe->parity);
-  if (hedge_done < done) {
-    ++stats_.tail().hedge_wins;
-    return hedge_done;
-  }
-  return done;
-}
-
 void Engine::note_deadline_miss(std::uint64_t die) {
   ++stats_.tail().deadline_misses;
   if (die_misses_.empty()) return;
@@ -431,23 +396,8 @@ Engine::Programmed Engine::flash_program(Stream stream, nand::PageOwner owner,
     tenant = in_gc_ ? gc_relocating_tenant_ : current_tenant_;
     slot = data_slot(tenant);
   }
-  const std::uint64_t first_plane = pick_plane(slot);
-  // GC-debt pacing: host data programs (never GC's own, never map/parity
-  // traffic) absorb a stall proportional to how far the target plane has
-  // sunk below its trigger + window. The stall is simulated time only — it
-  // pushes `ready`, so the request's completion (and thus its recorded
-  // latency) carries the wait, exactly like a real device holding the host
-  // queue while reclamation catches up.
-  if (!in_gc_ && stream == Stream::kData) {
-    const SimDuration stall = throttle_delay(first_plane);
-    if (stall > 0) {
-      ready += stall;
-      ++stats_.faults().throttle_stalls;
-      stats_.faults().throttle_stall_ns += stall;
-    }
-  }
   const Programmed programmed =
-      program_on(first_plane, slot, owner, kind, ready, oob, tenant);
+      program_on(pick_plane(slot), slot, owner, kind, ready, oob, tenant);
   if (tenant != kNoTenant && !in_gc_) {
     ++stats_.tenant(tenant).host_pages;
   }
@@ -538,26 +488,14 @@ std::uint32_t Engine::data_slot(std::uint16_t tenant) const {
     return slot_of(Stream::kData);
   }
   AF_CHECK_MSG(tenant < config_.qos.tenants, "tenant id out of range");
-  return static_cast<std::uint32_t>(kStreamCount) +
-         tenant * (config_.qos.hot_cold_split ? 2u : 1u);
+  return static_cast<std::uint32_t>(kStreamCount) + tenant * 2u;
 }
 
 std::uint32_t Engine::gc_slot(std::uint16_t tenant) const {
-  if (!config_.qos.streams_enabled() || !config_.qos.hot_cold_split ||
-      tenant == kNoTenant) {
+  if (!config_.qos.streams_enabled() || tenant == kNoTenant) {
     return slot_of(Stream::kGc);
   }
   return data_slot(tenant) + 1;
-}
-
-SimDuration Engine::throttle_delay(std::uint64_t plane) const {
-  const SsdConfig::CapacityPolicy& cap = config_.capacity;
-  if (!cap.throttle_enabled()) return 0;
-  const std::uint64_t target =
-      std::uint64_t{plane_trigger_blocks(plane)} + cap.throttle_window_blocks;
-  const std::uint64_t free = free_blocks(plane);
-  if (free >= target) return 0;
-  return cap.throttle_ns_per_block * (target - free);
 }
 
 SimTime Engine::map_touch(std::uint64_t map_page, bool dirty, SimTime ready) {
@@ -616,15 +554,10 @@ std::uint64_t Engine::pick_plane(std::uint32_t slot) {
   // chip, so a naive round-robin lands consecutive programs on the same chip
   // and they serialize in the timeline. With a concurrent host queue the
   // allocator instead walks planes chip-rotating (channel-first allocation),
-  // so simultaneous in-flight programs spread across chips. Hedged reads
-  // (DESIGN.md §11) need the same layout: consecutive programs form parity
-  // stripes, and a reconstruct can only beat a stalled primary when the
-  // stripe's peers live on other chips — hedging against peers stuck behind
-  // the primary's own busy chip is a guaranteed loss. The serial,
-  // non-hedging path keeps the legacy walk: at QD<=1 the order never
-  // changes timing, and the committed tables depend on the legacy placement.
-  const bool stripe =
-      config_.pipeline.enabled() || config_.deadline.hedging();
+  // so simultaneous in-flight programs spread across chips. The serial path
+  // keeps the legacy walk: at QD<=1 the order never changes timing, and the
+  // committed tables depend on the legacy placement.
+  const bool stripe = config_.pipeline.enabled();
   const std::uint64_t chips = config_.geometry.total_chips();
   const std::uint64_t planes_per_chip = planes / chips;
   for (std::uint64_t i = 0; i < planes; ++i) {
@@ -1169,9 +1102,9 @@ Engine::Programmed Engine::gc_program(std::uint64_t plane,
                                       nand::PageOwner owner, SimTime ready,
                                       const nand::OobExtra* oob) {
   AF_CHECK_MSG(in_gc_, "gc_program outside GC");
-  // Relocations of a tenant's pages stay tenant-affine: under hot_cold_split
-  // they fill the tenant's cold slot (and are re-stamped with the tenant),
-  // keeping blocks tenant-homogeneous through GC churn.
+  // Relocations of a tenant's pages stay tenant-affine: under per-tenant
+  // streams they fill the tenant's GC slot (and are re-stamped with the
+  // tenant), keeping blocks tenant-homogeneous through GC churn.
   const std::uint16_t tenant = gc_relocating_tenant_;
   const std::uint32_t slot = gc_slot(tenant);
   std::uint64_t target = plane;

@@ -32,8 +32,8 @@ namespace af::ssd {
 ///
 /// The enum names the four fixed streams; under multi-tenant QoS
 /// (config.qos.streams_enabled(), DESIGN.md §12) the engine grows a runtime
-/// stream table past them — one (or two, hot/cold) data slots per tenant —
-/// and Stream::kData programs are routed to the current tenant's slot, so
+/// stream table past them — a data slot and a GC slot per tenant — and
+/// Stream::kData programs are routed to the current tenant's slot, so
 /// schemes keep passing the enum and never learn about tenants.
 enum class Stream : std::uint8_t { kData = 0, kGc, kMap, kParity, kStreamCount };
 constexpr std::size_t kStreamCount =
@@ -107,7 +107,7 @@ class Engine final : private MapIo {
   /// Marks a page stale. No timing cost: invalidation is a metadata action.
   void invalidate(Ppn ppn);
 
-  // --- Capacity admission & pacing (DESIGN.md §9) ---------------------------
+  // --- Capacity admission (DESIGN.md §9) -----------------------------------
 
   /// Admission check for a host write needing up to `pages` fresh data
   /// pages. Pure arithmetic over the array counters — no RNG, no timing, no
@@ -118,12 +118,6 @@ class Engine final : private MapIo {
   /// longer turn blocks over). Never fires while exported_fraction leaves
   /// the stock over-provisioning in place.
   [[nodiscard]] Status admit_write(std::uint64_t pages) const;
-
-  /// GC-debt pacing valve: simulated stall (ns) to charge a host data
-  /// program landing on `plane`. Zero with the valve unconfigured or while
-  /// the plane's free-block count clears trigger + throttle_window_blocks;
-  /// below that, ns_per_block per missing block — deeper debt, longer stall.
-  [[nodiscard]] SimDuration throttle_delay(std::uint64_t plane) const;
 
   /// Accesses one translation page of the scheme's mapping table through the
   /// CMT. Must be preceded by init_map_space(). Returns advanced ready time.
@@ -299,7 +293,7 @@ class Engine final : private MapIo {
   /// blocks pays for their reclamation.
   std::uint64_t drain_gc_debt_pages(std::uint16_t tenant);
 
-  /// Total stream slots (fixed streams + tenant data slots).
+  /// Total stream slots (fixed streams + per-tenant data and GC slots).
   [[nodiscard]] std::uint32_t stream_slot_count() const { return stream_slots_; }
   /// Slot a host data program of `tenant` allocates from.
   [[nodiscard]] std::uint32_t data_slot(std::uint16_t tenant) const;
@@ -322,13 +316,11 @@ class Engine final : private MapIo {
   /// In-simulated-time deadline ledger for the request currently being
   /// serviced. While set, foreground reads that would otherwise finish past
   /// `deadline` may suspend in-flight background erase/program ops
-  /// (config.deadline.preempt) and fire hedged parity-reconstruct reads once
-  /// they slip past `hedge_at` (config.deadline.hedging()); reads finishing
-  /// late are counted as misses and feed die quarantine. Cleared between
-  /// requests; never set unless config.deadline.enabled().
+  /// (config.deadline.preempt); reads finishing late are counted as misses
+  /// and feed die quarantine. Cleared between requests; never set unless
+  /// config.deadline.enabled().
   struct DeadlineLedger {
     SimTime deadline = 0;
-    SimTime hedge_at = 0;  ///< 0 = hedging off for this request
   };
   void set_deadline_ledger(std::optional<DeadlineLedger> ledger) {
     ledger_ = ledger;
@@ -403,7 +395,7 @@ class Engine final : private MapIo {
   struct PlaneState {
     std::vector<std::uint32_t> free_blocks;  // block ids within plane
     // Active (partially filled) block per stream slot (stream_slots_
-    // entries: the four fixed streams plus any tenant data slots);
+    // entries: the four fixed streams plus any tenant data and GC slots);
     // kNoBlock when none.
     std::vector<std::uint32_t> active;
     // Victim currently being drained by resumable partial GC.
@@ -430,7 +422,7 @@ class Engine final : private MapIo {
     return static_cast<std::uint32_t>(stream);
   }
   /// Slot a GC relocation of `tenant`'s page programs into: the tenant's
-  /// cold slot under hot_cold_split, the shared kGc slot otherwise.
+  /// GC slot under per-tenant streams, the shared kGc slot otherwise.
   [[nodiscard]] std::uint32_t gc_slot(std::uint16_t tenant) const;
 
   /// Returns the PPN to program next for (plane, slot); opens a new active
@@ -527,9 +519,6 @@ class Engine final : private MapIo {
   /// degrades to a plain schedule_read.
   [[nodiscard]] SimTime sched_read(Ppn ppn, OpKind kind, SimTime ready,
                                    bool account = true);
-  /// Hedged parity-reconstruct read racing a primary whose completion
-  /// slipped past the ledger's hedge point; returns the winner's completion.
-  [[nodiscard]] SimTime maybe_hedge(Ppn ppn, SimTime done);
   void note_deadline_miss(std::uint64_t die);
   /// Re-evaluates one die's quarantine verdict against its episode state:
   /// quarantines a sick die whose miss count reached the threshold, readmits
@@ -576,7 +565,7 @@ class Engine final : private MapIo {
   std::uint32_t stream_slots_ = static_cast<std::uint32_t>(kStreamCount);
   std::uint16_t current_tenant_ = 0;
   // Tenant whose page is being relocated right now (GC/scrub), so the
-  // relocation program lands in that tenant's (cold) slot and is re-stamped
+  // relocation program lands in that tenant's GC slot and is re-stamped
   // with the same tenant; kNoTenant outside relocation.
   std::uint16_t gc_relocating_tenant_ = kNoTenant;
   std::vector<std::uint16_t> page_tenant_;

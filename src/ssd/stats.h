@@ -100,13 +100,15 @@ struct FaultRecoveryStats {
   std::uint64_t lost_pages = 0;          // uncorrectable with no intact stripe
 
   // --- Capacity pressure (DESIGN.md §9) ------------------------------------
-  // All zero unless the host issues trims or config.capacity arms the
-  // throttle valve / wear leveler.
+  // All zero unless the host issues trims or config.capacity arms the wear
+  // leveler.
   std::uint64_t trims = 0;                 // TRIM commands serviced
   std::uint64_t trimmed_pages = 0;         // logical pages unmapped by them
   std::uint64_t no_space_rejections = 0;   // writes refused with kNoSpace
-  std::uint64_t throttle_stalls = 0;       // host programs the valve delayed
-  std::uint64_t throttle_stall_ns = 0;     // total simulated stall injected
+  // Always 0: the GC-debt write throttle was removed (DESIGN.md §9.2). Kept
+  // so existing readers still compile.
+  std::uint64_t throttle_stalls = 0;
+  std::uint64_t throttle_stall_ns = 0;
   std::uint64_t wear_level_migrations = 0; // cold blocks recycled by leveling
   std::uint64_t wear_spread = 0;           // gauge: max-min erase count seen
 
@@ -116,7 +118,7 @@ struct FaultRecoveryStats {
 };
 
 /// Tail-latency subsystem accounting (DESIGN.md §11). All zero unless
-/// config.deadline arms the ledger / preemption / hedging / quarantine, so a
+/// config.deadline arms the ledger / preemption / quarantine, so a
 /// default-config run carries no trace of the subsystem.
 struct TailStats {
   std::uint64_t erase_suspends = 0;    // background erases preempted
@@ -124,8 +126,10 @@ struct TailStats {
   std::uint64_t resume_overhead_ns = 0;  // total re-ramp cost charged
   std::uint64_t suspend_ceiling_hits = 0;  // preemptions refused (starvation guard)
   std::uint64_t suspend_nesting_hits = 0;  // preemptions refused (stack cap)
-  std::uint64_t hedged_reads = 0;      // parity-reconstruct hedges fired
-  std::uint64_t hedge_wins = 0;        // hedges that beat the primary sensing
+  // Always 0: hedged reads were removed (DESIGN.md §11.4). Kept so existing
+  // readers still compile.
+  std::uint64_t hedged_reads = 0;
+  std::uint64_t hedge_wins = 0;
   std::uint64_t deadline_misses = 0;   // flash reads finishing past the ledger
   std::uint64_t deadline_retries = 0;  // retry-ladder re-issues
   std::uint64_t deadline_exceeded = 0; // requests escalated to kDeadlineExceeded

@@ -1,9 +1,8 @@
 // Capacity-pressure behavior under every scheme (DESIGN.md §9): a device
 // filled past what GC can sustain refuses writes with Status::kNoSpace
-// instead of crashing or live-locking, TRIM restores admissibility, the
-// GC-debt throttle paces writers instead of letting them outrun reclamation,
-// wear leveling narrows the erase spread, and a power cut taken at full
-// pressure mounts back to the same admission state with all data intact.
+// instead of crashing or live-locking, TRIM restores admissibility, wear
+// leveling narrows the erase spread, and a power cut taken at full pressure
+// mounts back to the same admission state with all data intact.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -139,26 +138,6 @@ TEST_P(CapacityPressure, PowerCutAtFullPressure) {
   for (std::uint64_t p = 0; p < pages / 8; ++p) {
     (void)test::submit_ok(*mounted, write_req(rt++, p * spp, spp));
   }
-}
-
-TEST_P(CapacityPressure, ThrottlePacesWritesUnderGcDebt) {
-  // Same churn with and without the valve: the throttled run must record
-  // stalls, charge them to write latency, and end with the same data (the
-  // valve delays, it never drops).
-  auto config = test::tiny_config();
-  config.capacity.throttle_window_blocks = 4;
-  config.capacity.throttle_ns_per_block = 50'000;
-
-  sim::Ssd ssd(config, GetParam());
-  test::WorkloadGen gen(config.logical_sectors() / 2,
-                        config.geometry.sectors_per_page(), 31);
-  for (int i = 0; i < 6'000; ++i) {
-    (void)test::submit_ok(ssd, gen.next());
-  }
-  const auto& faults = ssd.stats().faults();
-  EXPECT_GT(faults.throttle_stalls, 0u);
-  EXPECT_GT(faults.throttle_stall_ns, 0u);
-  test::verify_full_space(ssd);
 }
 
 TEST_P(CapacityPressure, WearLevelingNarrowsEraseSpread) {

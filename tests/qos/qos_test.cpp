@@ -177,16 +177,24 @@ TEST(QosStreams, BlocksStayTenantHomogeneous) {
 
   const std::uint32_t spp = config.geometry.sectors_per_page();
   const std::uint64_t pages = config.logical_sectors() / spp;
-  // Interleaved overwrite churn from both tenants: plenty of invalidation,
-  // so GC relocations run under both stream slots too.
   SimTime t = 1;
+  auto write = [&](std::uint64_t p, std::uint64_t tenant) {
+    ftl::IoRequest req{t, /*write=*/true, SectorRange::of(p * spp, spp)};
+    req.tenant = static_cast<std::uint16_t>(tenant);
+    t += 1000;
+    (void)test::submit_ok(ssd, req);
+  };
+  // Interleaved sequential rounds from both tenants: each round invalidates
+  // whole blocks, so GC finds fully invalid victims and relocates nothing.
   for (std::uint64_t round = 0; round < 6; ++round) {
-    for (std::uint64_t p = 0; p < pages / 2; ++p) {
-      ftl::IoRequest req{t, /*write=*/true, SectorRange::of(p * spp, spp)};
-      req.tenant = static_cast<std::uint16_t>((p + round) % 2);
-      t += 1000;
-      (void)test::submit_ok(ssd, req);
-    }
+    for (std::uint64_t p = 0; p < pages / 2; ++p) write(p, (p + round) % 2);
+  }
+  // Random overwrites leave victims partly valid: GC now relocates live
+  // pages of both tenants, which must land in their owner's own blocks.
+  Rng rng(3);
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t p = rng.below(pages / 2);
+    write(p, p % 2);
   }
 
   const auto& geometry = config.geometry;
@@ -201,8 +209,11 @@ TEST(QosStreams, BlocksStayTenantHomogeneous) {
     if (!block_owners.empty()) ++tagged_blocks;
     EXPECT_LE(block_owners.size(), 1u);
   }
-  // Sanity: the scan saw real data from both tenants, not an empty device.
+  // Sanity: the scan saw real data from both tenants, not an empty device,
+  // and GC really moved live pages of each.
   EXPECT_GT(tagged_blocks, 4u);
+  EXPECT_GT(ssd.stats().tenants()[0].gc_pages, 0u);
+  EXPECT_GT(ssd.stats().tenants()[1].gc_pages, 0u);
   // Every written page (half the logical space) is attributed to someone.
   EXPECT_EQ(ssd.engine().tenant_live_pages(0) +
                 ssd.engine().tenant_live_pages(1),

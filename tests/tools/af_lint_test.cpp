@@ -135,11 +135,11 @@ TEST(AfLint, IntegrityStatusRuleOnlyCoversSrc) {
 TEST(AfLint, SpaceStatusDiscardsAreFlagged) {
   const auto findings =
       lint_fixture("bad_space.txt", "src/sim/bad_space.cpp");
-  // The four statement-position calls (admit_write, throttle_delay, trim,
-  // note_trim); assignments, conditions, compound-assignment, (void), and
-  // the on_trim / prune_trim_log suffix lookalikes stay clean.
-  EXPECT_EQ(count_rule(findings, "nodiscard-space-status"), 4);
-  EXPECT_EQ(findings.size(), 4u);
+  // The three statement-position calls (admit_write, trim, note_trim);
+  // assignments, conditions, compound-assignment, (void), and the on_trim /
+  // prune_trim_log suffix lookalikes stay clean.
+  EXPECT_EQ(count_rule(findings, "nodiscard-space-status"), 3);
+  EXPECT_EQ(findings.size(), 3u);
 }
 
 TEST(AfLint, SpaceStatusRuleOnlyCoversSrc) {
@@ -354,7 +354,7 @@ TEST(AfLint, DiffModeRestrictsFixtureFindingsToChangedLines) {
   // A synthetic changed-lines set over a real fixture's findings: only the
   // finding whose line is inside a changed range survives.
   auto findings = lint_fixture("bad_space.txt", "src/sim/bad_space.cpp");
-  ASSERT_EQ(findings.size(), 4u);
+  ASSERT_EQ(findings.size(), 3u);
   const int keep_line = findings[1].line;
   ChangedLines changed;
   changed.ranges["src/sim/bad_space.cpp"].push_back({keep_line, keep_line});

@@ -384,11 +384,11 @@ void rule_no_nondeterminism(const FileView& f, std::vector<Finding>& out) {
 
 void rule_deadline_clock(const FileView& f, std::vector<Finding>& out) {
   // The deadline subsystem (DESIGN.md §11) budgets reads in simulated
-  // nanoseconds: ledger arming, hedge thresholds and suspend decisions are
-  // all SimTime arithmetic. Any host-clock primitive inside src/ssd or
-  // src/sim — even a "harmless" sleep in a debug hook — couples tail-latency
-  // decisions to wall time, which breaks the replay-bit-identical contract
-  // and makes hedges fire nondeterministically under sanitizer or CI load.
+  // nanoseconds: deadline budgets and suspend decisions are all SimTime
+  // arithmetic. Any host-clock primitive inside src/ssd or src/sim — even a
+  // "harmless" sleep in a debug hook — couples tail-latency decisions to
+  // wall time, which breaks the replay-bit-identical contract and makes
+  // preemptions fire nondeterministically under sanitizer or CI load.
   // Stricter than no-nondeterminism on purpose: here even std::chrono
   // durations and sleeps are out; timing comes from nand/timing.h constants.
   if (!starts_with(f.path, "src/ssd/") && !starts_with(f.path, "src/sim/")) {
@@ -479,15 +479,15 @@ void rule_integrity_status(const FileView& f, std::vector<Finding>& out) {
 // ---------------------------------------------------------------------------
 
 void rule_nodiscard_space_status(const FileView& f, std::vector<Finding>& out) {
-  // The capacity subsystem's unmap/throttle APIs return state the caller
+  // The capacity subsystem's admission/unmap APIs return state the caller
   // must act on: admit_write's Status decides whether a write may proceed at
-  // all, throttle_delay's stall must be added to the request clock, trim's
-  // completion time feeds the timeline, and note_trim's seq orders the
-  // tombstone against OOB claims. A call in statement position silently
-  // drops that — same closure as integrity-status, keyed on the space APIs.
+  // all, trim's completion time feeds the timeline, and note_trim's seq
+  // orders the tombstone against OOB claims. A call in statement position
+  // silently drops that — same closure as integrity-status, keyed on the
+  // space APIs.
   if (!starts_with(f.path, "src/")) return;
   static constexpr std::string_view kCalls[] = {
-      "admit_write(", "throttle_delay(", "note_trim(", "trim("};
+      "admit_write(", "note_trim(", "trim("};
   for (std::size_t i = 0; i < f.code.size(); ++i) {
     const std::string& line = f.code[i];
     for (const std::string_view call : kCalls) {
@@ -550,7 +550,7 @@ void rule_nodiscard_space_status(const FileView& f, std::vector<Finding>& out) {
           report(f, out, i, "nodiscard-space-status",
                  "space-status API '" + name +
                      "' result discarded — consume the Status/completion "
-                     "(admission verdict, throttle stall, tombstone seq), "
+                     "(admission verdict, trim completion, tombstone seq), "
                      "or discard explicitly with (void)");
         }
         pos += call.size();
@@ -979,8 +979,8 @@ const std::vector<RuleMeta>& rule_catalogue() {
        "flash_read results carry the data-integrity verdict and must not be "
        "discarded"},
       {"nodiscard-space-status",
-       "capacity/throttle API results (admission, stall, tombstone seq) must "
-       "not be discarded"},
+       "capacity API results (admission, trim completion, tombstone seq) "
+       "must not be discarded"},
       {"bench-run-schemes",
        "multi-scheme benches go through bench::run_schemes, not hand-rolled "
        "replay loops"},

@@ -29,10 +29,10 @@
 //                      checks in one place)
 //   nodiscard-space-status
 //                      statement-position calls of the capacity subsystem's
-//                      unmap/throttle APIs (admit_write, throttle_delay,
-//                      trim, note_trim) in src/ discard the admission
-//                      verdict / stall / completion / tombstone seq — the
-//                      caller must consume it or (void)-discard explicitly
+//                      admission/unmap APIs (admit_write, trim, note_trim)
+//                      in src/ discard the admission verdict / completion /
+//                      tombstone seq — the caller must consume it or
+//                      (void)-discard explicitly
 //   nondet-iteration-order
 //                      range-for over an unordered_map/unordered_set member
 //                      whose loop body reaches a serialization / table /
@@ -48,11 +48,11 @@
 //                      kReadOnly is a silently ignored admission verdict
 //   deadline-clock     host-clock primitives (std::chrono, sleep_for/until,
 //                      clock_gettime, nanosleep, timespec) inside src/ssd +
-//                      src/sim — deadline arming, hedge thresholds and
-//                      suspend decisions are SimTime arithmetic on the
-//                      DeadlineLedger; wall time there breaks bit-identical
-//                      replay (stricter than no-nondeterminism: even chrono
-//                      durations and sleeps are out)
+//                      src/sim — deadline budgets and suspend decisions are
+//                      SimTime arithmetic; wall time there breaks
+//                      bit-identical replay (stricter than
+//                      no-nondeterminism: even chrono durations and sleeps
+//                      are out)
 //
 // Suppressions (each needs a justification in the same comment; markers are
 // recognized in comments only — never inside string literals):

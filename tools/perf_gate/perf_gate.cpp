@@ -20,9 +20,9 @@
 //      must hold speedup_vs_qd1 >= --min-qd-speedup (default 2.0) — the
 //      concurrency win the pipeline exists to deliver (DESIGN.md §10).
 //   5. Within the candidate alone: for each scheme in the tail section, the
-//      full preempt+hedge policy must leave read p99 no worse than the off
-//      row (within --max-regression) — the machinery must never hurt the
-//      tail it exists to protect (DESIGN.md §11).
+//      preempt policy must leave read p99 no worse than the off row (within
+//      --max-regression) — the machinery must never hurt the tail it exists
+//      to protect (DESIGN.md §11).
 //   6. Multi-tenant QoS victim read p99 per (scheme, workload, policy)
 //      ("qos" section): latency fence like 3, skipped when either file
 //      predates the section or across differing request counts.
@@ -339,9 +339,9 @@ void check_tail_policy(const Json& cand, Gate* gate) {
   const Json* sec = cand.find("tail");
   const Json* rows = sec != nullptr ? sec->find("replays") : nullptr;
   if (rows == nullptr) return;  // older candidate
-  std::printf("candidate tail policy invariant (preempt+hedge p99 <= off)\n");
+  std::printf("candidate tail policy invariant (preempt p99 <= off)\n");
   for (const Json& r : rows->array) {
-    if (r.str_or("policy", "") != "preempt+hedge") continue;
+    if (r.str_or("policy", "") != "preempt") continue;
     const std::string scheme = r.str_or("scheme", "?");
     const Json* off = nullptr;
     for (const Json& o : rows->array) {
@@ -349,15 +349,15 @@ void check_tail_policy(const Json& cand, Gate* gate) {
         off = &o;
     }
     if (off == nullptr) continue;
-    const double hedged = r.num_or("read_p99_ms", 0);
+    const double armed = r.num_or("read_p99_ms", 0);
     const double base = off->num_or("read_p99_ms", 0);
-    std::printf("  %-28s off %.2f ms -> hedged %.2f ms\n", scheme.c_str(),
-                base, hedged);
-    // The full policy must never make the tail worse than doing nothing
+    std::printf("  %-28s off %.2f ms -> preempt %.2f ms\n", scheme.c_str(),
+                base, armed);
+    // The policy must never make the tail worse than doing nothing
     // (tolerance covers log2-bucket quantisation at small request counts).
-    if (base > 0 && hedged > base * (1 + gate->max_regression)) {
-      gate->fail("%s preempt+hedge read p99 %.2f ms worse than off %.2f ms",
-                 scheme.c_str(), hedged, base);
+    if (base > 0 && armed > base * (1 + gate->max_regression)) {
+      gate->fail("%s preempt read p99 %.2f ms worse than off %.2f ms",
+                 scheme.c_str(), armed, base);
     }
   }
 }
