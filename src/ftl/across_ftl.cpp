@@ -320,39 +320,11 @@ SimTime AcrossFtl::rollback(std::uint32_t aidx, std::optional<SectorRange> u,
 
 SimTime AcrossFtl::write_normal_sub(const SubRequest& sub, SimTime ready) {
   PmtEntry& pe = pmt_[sub.lpn.get()];
-  const SectorRange page = pgeom_.page_range(sub.lpn);
-  const bool full = sub.range == page;
-
-  if (!full && pe.ppn.valid()) {
-    ready = engine_.flash_read(pe.ppn, ssd::OpKind::kDataRead, ready).done;
-    engine_.stats().count_rmw_read();
-  }
   // OOB carries the logical write range: recovery uses it to tell a write
   // that superseded an area's share of this page (replay the shrink) from
   // one that landed beside it (area and page-mode data stay side by side).
   const nand::OobExtra oob{sub.range.begin, sub.range.end, 0, {}};
-  std::vector<std::uint64_t> stamps;
-  if (tracking()) {
-    for (std::uint32_t s = 0; s < pgeom_.sectors_per_page; ++s) {
-      const SectorAddr logical = page.begin + s;
-      if (sub.range.contains(logical)) {
-        stamps.push_back(new_stamp(logical));
-      } else {
-        stamps.push_back(pe.ppn.valid() ? engine_.read_stamp(pe.ppn, s) : 0);
-      }
-    }
-  }
-  // Drop the superseded copy BEFORE programming its replacement: the program
-  // can run GC, and a still-valid old copy it relocated would re-claim its
-  // stale payload with a newer OOB seq after a power cut (recovery replays
-  // claims newest-last). The stamps staged above already carried the payload
-  // forward, and invalidation is RAM-only — a cut before the program still
-  // recovers the old copy, the legal outcome for an unacknowledged write.
-  const Ppn old = pe.ppn;
-  if (old.valid()) engine_.invalidate(old);
-  auto programmed = engine_.flash_program(
-      ssd::Stream::kData, nand::PageOwner::data(sub.lpn),
-      ssd::OpKind::kDataWrite, ready, &oob, tracking() ? &stamps : nullptr);
+  const auto programmed = program_sub(sub, pe.ppn, ready, &oob);
   pe.ppn = programmed.ppn;
   journal_lpn(sub.lpn.get());
   return programmed.done;

@@ -122,7 +122,8 @@ class AcrossFtl final : public FtlScheme {
   [[nodiscard]] SimTime rollback(std::uint32_t aidx,
                                  std::optional<SectorRange> u, SimTime ready);
 
-  /// Baseline-style write of one sub-request (RMW over the old normal page).
+  /// The baseline's page-mapped write of one sub-request
+  /// (FtlScheme::program_sub, RMW over the old normal page).
   [[nodiscard]] SimTime write_normal_sub(const SubRequest& sub, SimTime ready);
 
   /// Handles one sub-request of a non-across write against current state.

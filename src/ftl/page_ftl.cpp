@@ -18,43 +18,7 @@ PageFtl::PageFtl(ssd::Engine& engine) : FtlScheme(engine) {
 }
 
 SimTime PageFtl::write_sub(const SubRequest& sub, SimTime ready) {
-  const SectorRange page = pgeom_.page_range(sub.lpn);
-  const bool full = sub.range == page;
-
-  if (!full && pmt_[sub.lpn.get()].valid()) {
-    // Read-modify-write: fetch the old page to preserve untouched sectors.
-    ready = engine_.flash_read(pmt_[sub.lpn.get()], ssd::OpKind::kDataRead,
-                               ready)
-                .done;
-    engine_.stats().count_rmw_read();
-  }
-
-  // Stamps ride the program itself (data and spare land atomically on real
-  // flash, and power-cut recovery depends on that).
-  std::vector<std::uint64_t> stamps;
-  if (tracking()) {
-    const Ppn from = pmt_[sub.lpn.get()];
-    for (std::uint32_t s = 0; s < pgeom_.sectors_per_page; ++s) {
-      const SectorAddr logical = page.begin + s;
-      if (sub.range.contains(logical)) {
-        stamps.push_back(new_stamp(logical));
-      } else {
-        stamps.push_back(from.valid() ? engine_.read_stamp(from, s) : 0);
-      }
-    }
-  }
-  // Drop the superseded copy BEFORE programming its replacement: the program
-  // can run GC, and a still-valid old copy it relocated would re-claim its
-  // stale payload with a newer OOB seq after a power cut (recovery replays
-  // claims newest-last). The stamps staged above already carried the payload
-  // forward, and invalidation is RAM-only — a cut before the program still
-  // recovers the old copy, the legal outcome for an unacknowledged write.
-  const Ppn old = pmt_[sub.lpn.get()];
-  if (old.valid()) engine_.invalidate(old);
-  auto programmed = engine_.flash_program(
-      ssd::Stream::kData, nand::PageOwner::data(sub.lpn),
-      ssd::OpKind::kDataWrite, ready, nullptr,
-      tracking() ? &stamps : nullptr);
+  const auto programmed = program_sub(sub, pmt_[sub.lpn.get()], ready);
   pmt_[sub.lpn.get()] = programmed.ppn;
   journal_lpn(sub.lpn.get());
   return programmed.done;

@@ -10,6 +10,41 @@ FtlScheme::FtlScheme(ssd::Engine& engine) : engine_(engine) {
   pgeom_.sectors_per_page = engine.geometry().sectors_per_page();
 }
 
+ssd::Engine::Programmed FtlScheme::program_sub(const SubRequest& sub, Ppn old,
+                                               SimTime ready,
+                                               const nand::OobExtra* oob) {
+  const SectorRange page = pgeom_.page_range(sub.lpn);
+  if (sub.range != page && old.valid()) {
+    // Read-modify-write: fetch the old page to preserve untouched sectors.
+    ready = engine_.flash_read(old, ssd::OpKind::kDataRead, ready).done;
+    engine_.stats().count_rmw_read();
+  }
+  // Stamps ride the program itself (data and spare land atomically on real
+  // flash, and power-cut recovery depends on that).
+  std::vector<std::uint64_t> stamps;
+  if (tracking()) {
+    for (std::uint32_t s = 0; s < pgeom_.sectors_per_page; ++s) {
+      const SectorAddr logical = page.begin + s;
+      if (sub.range.contains(logical)) {
+        stamps.push_back(new_stamp(logical));
+      } else {
+        stamps.push_back(old.valid() ? engine_.read_stamp(old, s) : 0);
+      }
+    }
+  }
+  // Drop the superseded copy BEFORE programming its replacement: the program
+  // can run GC, and a still-valid old copy it relocated would re-claim its
+  // stale payload with a newer OOB seq after a power cut (recovery replays
+  // claims newest-last). The stamps staged above already carried the payload
+  // forward, and invalidation is RAM-only — a cut before the program still
+  // recovers the old copy, the legal outcome for an unacknowledged write.
+  if (old.valid()) engine_.invalidate(old);
+  return engine_.flash_program(ssd::Stream::kData,
+                               nand::PageOwner::data(sub.lpn),
+                               ssd::OpKind::kDataWrite, ready, oob,
+                               tracking() ? &stamps : nullptr);
+}
+
 std::vector<SubRequest> split(SectorRange range, const PageGeometry& geom) {
   std::vector<SubRequest> subs;
   if (range.empty()) return subs;

@@ -121,6 +121,16 @@ class FtlScheme : public ssd::RecoverableMapping {
   [[nodiscard]] bool tracking() const {
     return stamps_ != nullptr && engine_.tracks_payload();
   }
+
+  /// The page-mapped sub-write all three schemes share (the paper's
+  /// baseline): read `old` first when `sub` covers only part of the page
+  /// (read-modify-write), stage the page's stamps, invalidate `old`, then
+  /// program a kData page carrying `oob`. The caller repoints its mapping at
+  /// the returned page.
+  [[nodiscard]] ssd::Engine::Programmed program_sub(
+      const SubRequest& sub, Ppn old, SimTime ready,
+      const nand::OobExtra* oob = nullptr);
+
   /// Stamp for a sector freshly written by the current request.
   [[nodiscard]] std::uint64_t new_stamp(SectorAddr s) const {
     return stamps_->stamp_of(s);

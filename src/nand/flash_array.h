@@ -171,18 +171,6 @@ struct SuspendSlot {
   [[nodiscard]] bool active() const { return kind != Kind::kNone; }
 };
 
-/// Aggregate suspend-resume tallies across all chips (tail subsystem).
-struct SuspendCounters {
-  std::uint64_t erase_suspends = 0;
-  std::uint64_t program_suspends = 0;
-  std::uint64_t resume_overhead_ns = 0;
-  /// Preemptions refused because the victim hit its suspend-count ceiling
-  /// (starvation guard: the op is forced to run to completion).
-  std::uint64_t ceiling_hits = 0;
-  /// Preemptions refused because the stacked-read nesting cap was reached.
-  std::uint64_t nesting_hits = 0;
-};
-
 /// Aggregate state counters maintained incrementally. Page-state counters
 /// conserve: free + valid + invalid + retired == total pages.
 struct ArrayCounters {
@@ -413,12 +401,6 @@ class FlashArray {
   /// (the engine) decides whether the slot is still in flight at its read's
   /// ready time and mutates it through this pointer.
   [[nodiscard]] SuspendSlot* suspend_slot(std::uint64_t chip);
-  [[nodiscard]] const SuspendCounters& suspend_counters() const {
-    return suspend_counters_;
-  }
-  [[nodiscard]] SuspendCounters& suspend_counters() {
-    return suspend_counters_;
-  }
 
   // --- Payload stamps (oracle support) --------------------------------------
 
@@ -466,7 +448,6 @@ class FlashArray {
   /// One suspendable-op slot per chip (tail subsystem); all kNone unless the
   /// deadline subsystem arms them.
   std::vector<SuspendSlot> suspend_slots_;
-  SuspendCounters suspend_counters_;
   std::uint64_t next_seq_ = 0;
   PowerCutPlan power_cut_;
   std::uint64_t ops_since_arm_ = 0;

@@ -187,19 +187,25 @@ Ssd::Completion Ssd::service(const ftl::IoRequest& req, SimTime anchor) {
 
   const ssd::ReqClass cls = ftl::classify(req, scheme_->page_geometry());
   const bool mutates = req.write || req.trim;
+  // A refused request changes no state and costs no simulated time; it only
+  // bumps the counter that names why.
+  auto refuse = [&](ssd::Status status, std::uint64_t& counter) {
+    ++counter;
+    Completion rejected;
+    rejected.cls = cls;
+    rejected.done = req.arrival;
+    rejected.accepted = false;
+    rejected.status = status;
+    return rejected;
+  };
 
   if (mutates && engine_->read_only()) {
     // Graceful degradation: spare blocks are exhausted, so the device
     // refuses new writes (and trims — they dirty mapping tables that must
     // eventually be programmed) rather than wedging GC. The shadow space is
     // not advanced — the refusal is surfaced, not silently dropped.
-    ++engine_->stats().faults().rejected_writes;
-    Completion rejected;
-    rejected.cls = cls;
-    rejected.done = req.arrival;
-    rejected.accepted = false;
-    rejected.status = ssd::Status::kReadOnly;
-    return rejected;
+    return refuse(ssd::Status::kReadOnly,
+                  engine_->stats().faults().rejected_writes);
   }
   if (req.write && !req.trim) {
     // Capacity admission: a write the device cannot absorb without eating
@@ -212,13 +218,7 @@ Ssd::Completion Ssd::service(const ftl::IoRequest& req, SimTime anchor) {
     const ssd::Status admit =
         engine_->admit_write(scheme_->unmapped_pages(req.range));
     if (admit != ssd::Status::kOk) {
-      ++engine_->stats().faults().no_space_rejections;
-      Completion rejected;
-      rejected.cls = cls;
-      rejected.done = req.arrival;
-      rejected.accepted = false;
-      rejected.status = admit;
-      return rejected;
+      return refuse(admit, engine_->stats().faults().no_space_rejections);
     }
     // Per-tenant capacity share (DESIGN.md §12): a tenant over its quota is
     // refused with kNoSpace while the others keep writing — per-tenant
@@ -229,33 +229,23 @@ Ssd::Completion Ssd::service(const ftl::IoRequest& req, SimTime anchor) {
       const ssd::Status quota = engine_->admit_tenant_write(
           tenant, scheme_->unmapped_pages(req.range));
       if (quota != ssd::Status::kOk) {
-        ++engine_->stats().tenant(tenant).rejected_writes;
-        Completion rejected;
-        rejected.cls = cls;
-        rejected.done = req.arrival;
-        rejected.accepted = false;
-        rejected.status = quota;
-        return rejected;
+        return refuse(quota, engine_->stats().tenant(tenant).rejected_writes);
       }
     }
   }
   engine_->set_request_class(cls);
 
-  // Deadline ledger (DESIGN.md §11): every attempt gets a fresh in-simulated-
-  // time budget measured from its issue point — never from a wall clock.
-  // Zero-default: with config.deadline unarmed, budget_ns stays 0, no ledger
-  // is ever set, and the engine's scheduling paths are byte-identical to the
-  // pre-deadline behaviour.
+  // Deadline (DESIGN.md §11): every attempt gets a fresh in-simulated-time
+  // budget measured from its issue point — never from a wall clock.
+  // Zero-default: with config.deadline unarmed, budget_ns stays 0, no
+  // deadline is ever set, and the engine's scheduling paths are
+  // byte-identical to the pre-deadline behaviour.
   const ssd::SsdConfig::DeadlineConfig& dl = engine_->config().deadline;
   const bool is_read = !req.write && !req.trim;
   const SimDuration budget_ns =
       req.trim ? 0
                : (is_read ? dl.read_deadline_us : dl.write_deadline_us) * 1000;
-  auto arm_ledger = [&](SimTime issue) {
-    engine_->set_deadline_ledger(
-        ssd::Engine::DeadlineLedger{issue + budget_ns});
-  };
-  if (budget_ns > 0) arm_ledger(req.arrival);
+  if (budget_ns > 0) engine_->set_deadline(req.arrival + budget_ns);
 
   Completion completion;
   completion.cls = cls;
@@ -302,7 +292,7 @@ Ssd::Completion Ssd::service(const ftl::IoRequest& req, SimTime anchor) {
            completion.done > issue + budget_ns && k < dl.max_retries; ++k) {
         ++engine_->stats().tail().deadline_retries;
         issue = completion.done + dl.retry_backoff_us * 1000 * (1ull << k);
-        arm_ledger(issue);
+        engine_->set_deadline(issue + budget_ns);
         plan.observed.clear();
         completion.done = scheme_->read(req, issue, plan_sink);
       }
@@ -322,7 +312,7 @@ Ssd::Completion Ssd::service(const ftl::IoRequest& req, SimTime anchor) {
                    "read plan did not cover the whole request");
     }
   }
-  if (budget_ns > 0) engine_->set_deadline_ledger(std::nullopt);
+  if (budget_ns > 0) engine_->set_deadline(std::nullopt);
   engine_->set_request_class(std::nullopt);
 
   AF_CHECK(completion.done >= req.arrival);

@@ -158,7 +158,7 @@ struct SsdConfig {
   PipelineConfig pipeline;
 
   /// Tail-latency / deadline subsystem (DESIGN.md §11). Zero-default: with
-  /// both deadlines at 0 no ledger is kept, no background op is ever
+  /// both deadlines at 0 no deadline is set, no background op is ever
   /// suspended and no die is quarantined, so a default-config run is
   /// bit-identical to a build without the subsystem.
   /// All times are simulated; the subsystem keys off request arrival

@@ -104,24 +104,15 @@ ReadResult Engine::flash_read(Ppn ppn, OpKind kind, SimTime ready) {
   }
   AF_CHECK_MSG(array_.state(ppn) == nand::PageState::kValid,
                "flash read of non-valid page");
-  const bool ber_on = config_.faults.ber_enabled();
-  // note_read: power-cut op accounting (may throw PowerLoss) plus the
-  // block's read-disturb exposure.
-  array_.note_read(ppn);
-  if (ber_on) ++stats_.faults().read_disturb_reads;
-  stats_.count_flash_op(kind);
-  SimTime done = sched_read(ppn, kind, ready);
+  SimTime done = sense(ppn, kind, ready);
   // Transient read failures recover through read-retry: re-sense the same
   // page (tuned reference voltages); each retry costs a full read on the
   // page's chip and channel.
   for (std::uint32_t r = array_.faults().read_retries(); r > 0; --r) {
-    array_.note_read(ppn);
-    if (ber_on) ++stats_.faults().read_disturb_reads;
-    stats_.count_flash_op(kind);
+    done = sense(ppn, kind, done);
     ++stats_.faults().read_retries;
-    done = sched_read(ppn, kind, done);
   }
-  if (!ber_on) return {done, ReadStatus::kOk};
+  if (!config_.faults.ber_enabled()) return {done, ReadStatus::kOk};
 
   // Latent bit errors: one Poisson draw per sensing at the page's current
   // intensity. Within the ECC engine's strength the read just succeeds.
@@ -138,11 +129,8 @@ ReadResult Engine::flash_read(Ppn ppn, OpKind kind, SimTime ready) {
   double scale = 1.0;
   for (std::uint32_t step = 0; step < icfg.read_retry_steps; ++step) {
     scale *= icfg.read_retry_ber_scale;
-    array_.note_read(ppn);
-    ++stats_.faults().read_disturb_reads;
-    stats_.count_flash_op(kind);
+    done = sense(ppn, kind, done);
     ++stats_.faults().ecc_retry_steps;
-    done = sched_read(ppn, kind, done);
     errors = array_.faults().raw_bit_errors(array_.page_ber(ppn) * scale);
     stats_.faults().raw_bit_errors += errors;
     if (errors <= icfg.ecc_correctable_bits) {
@@ -166,11 +154,8 @@ ReadResult Engine::flash_read(Ppn ppn, OpKind kind, SimTime ready) {
     }
     if (stripe != nullptr) {
       auto rebuild_sense = [&](Ppn peer) {
-        array_.note_read(peer);
-        ++stats_.faults().read_disturb_reads;
-        stats_.count_flash_op(OpKind::kRebuildRead);
+        done = sense(peer, OpKind::kRebuildRead, done, /*account=*/false);
         ++stats_.faults().parity_rebuild_reads;
-        done = sched_read(peer, OpKind::kRebuildRead, done, /*account=*/false);
       };
       for (const Ppn peer : stripe->members) {
         if (peer.get() == ppn.get()) continue;
@@ -205,6 +190,15 @@ SimTime Engine::mount_read(Ppn ppn, SimTime ready) {
   return sched_read(ppn, OpKind::kMountRead, ready, /*account=*/false);
 }
 
+SimTime Engine::sense(Ppn ppn, OpKind kind, SimTime ready, bool account) {
+  // note_read: power-cut op accounting (may throw PowerLoss) plus the
+  // block's read-disturb exposure.
+  array_.note_read(ppn);
+  if (config_.faults.ber_enabled()) ++stats_.faults().read_disturb_reads;
+  stats_.count_flash_op(kind);
+  return sched_read(ppn, kind, ready, account);
+}
+
 // --- Tail-latency subsystem (DESIGN.md §11) ----------------------------------
 
 double Engine::slow_of(const nand::PhysAddr& a) {
@@ -218,7 +212,7 @@ SimTime Engine::sched_read(Ppn ppn, OpKind kind, SimTime ready, bool account) {
   const std::uint64_t chip = config_.geometry.chip_index(addr);
   SimTime done = 0;
   bool scheduled = false;
-  if (ledger_ && config_.deadline.preempt) {
+  if (deadline_ && config_.deadline.preempt) {
     nand::SuspendSlot* slot = array_.suspend_slot(chip);
     if (slot != nullptr && slot->end <= ready) {
       array_.disarm_suspendable(chip);  // the victim already completed
@@ -231,9 +225,8 @@ SimTime Engine::sched_read(Ppn ppn, OpKind kind, SimTime ready, bool account) {
       const SimTime est = std::max(ready, timeline_.chip_free_at(chip)) +
                           config_.timing.read_ns +
                           config_.timing.transfer_ns_per_page;
-      if (est > ledger_->deadline) {
+      if (est > *deadline_) {
         TailStats& tail = stats_.tail();
-        nand::SuspendCounters& ctr = array_.suspend_counters();
         // Stacked suspension: this read lands before the previous
         // preemption's resume point, deepening the suspend stack.
         const std::uint32_t nested =
@@ -242,26 +235,19 @@ SimTime Engine::sched_read(Ppn ppn, OpKind kind, SimTime ready, bool account) {
           // Starvation guard: the victim has been pushed back enough times;
           // it now runs to completion and this read queues like any other.
           ++tail.suspend_ceiling_hits;
-          ++ctr.ceiling_hits;
         } else if (nested > config_.deadline.suspend_nesting_cap) {
           ++tail.suspend_nesting_hits;
-          ++ctr.nesting_hits;
         } else {
           slot->nested = nested;
           ++slot->suspends;
           if (slot->kind == nand::SuspendSlot::Kind::kErase) {
             ++tail.erase_suspends;
-            ++ctr.erase_suspends;
           } else {
             ++tail.program_suspends;
-            ++ctr.program_suspends;
           }
           tail.resume_overhead_ns += config_.timing.suspend_resume_ns;
-          ctr.resume_overhead_ns += config_.timing.suspend_resume_ns;
-          done = timeline_
-                     .schedule_preempting_read(addr, ready, slow, *slot,
-                                               config_.timing.suspend_resume_ns)
-                     .done;
+          done = timeline_.schedule_preempting_read(
+              addr, ready, slow, *slot, config_.timing.suspend_resume_ns);
           scheduled = true;
         }
       }
@@ -269,7 +255,7 @@ SimTime Engine::sched_read(Ppn ppn, OpKind kind, SimTime ready, bool account) {
   }
   if (!scheduled) done = timeline_.schedule_read(addr, ready, slow);
   stats_.note_op_latency(kind, done - ready);
-  if (account && ledger_ && done > ledger_->deadline) {
+  if (account && deadline_ && done > *deadline_) {
     note_deadline_miss(die_of(addr));
   }
   return done;
@@ -303,12 +289,6 @@ void Engine::update_quarantine(std::uint64_t die) {
   }
 }
 
-std::uint64_t Engine::quarantined_dies() const { return quarantined_count_; }
-
-bool Engine::die_quarantined(std::uint64_t die) const {
-  return !die_quarantined_.empty() && die_quarantined_[die] != 0;
-}
-
 Engine::Programmed Engine::program_on(std::uint64_t plane, std::uint32_t slot,
                                       nand::PageOwner owner, OpKind kind,
                                       SimTime ready,
@@ -338,11 +318,8 @@ Engine::Programmed Engine::program_on(std::uint64_t plane, std::uint32_t slot,
     // Background programs (GC/wear migrations, checkpoint-journal appends)
     // are fair game for foreground preemption; host-visible data/map/parity
     // programs are themselves latency-bearing and never suspend.
-    if (config_.deadline.preempt &&
-        (in_gc_ || owner.kind == nand::PageOwner::Kind::kCkpt)) {
-      array_.arm_suspendable(config_.geometry.chip_index(addr),
-                             nand::SuspendSlot::Kind::kProgram, span.start,
-                             span.done);
+    if (in_gc_ || owner.kind == nand::PageOwner::Kind::kCkpt) {
+      arm_background(addr, nand::SuspendSlot::Kind::kProgram, span);
     }
     const SimTime done = span.done;
     stats_.note_op_latency(kind, done - ready);
@@ -560,33 +537,32 @@ std::uint64_t Engine::pick_plane(std::uint32_t slot) {
   const bool stripe = config_.pipeline.enabled();
   const std::uint64_t chips = config_.geometry.total_chips();
   const std::uint64_t planes_per_chip = planes / chips;
+  auto plane_at = [&](std::uint64_t v) {
+    return stripe ? (v % chips) * planes_per_chip + v / chips : v;
+  };
+  // Steering fallback: when every plane with space sits on a quarantined
+  // die, capacity beats latency — take the first of them in walk order.
+  std::uint64_t fallback = planes;  // walk position; `planes` = none seen
   for (std::uint64_t i = 0; i < planes; ++i) {
     const std::uint64_t v = (rr_plane_ + i) % planes;
-    const std::uint64_t plane =
-        stripe ? (v % chips) * planes_per_chip + v / chips : v;
+    const std::uint64_t plane = plane_at(v);
     if (!plane_has_space(plane, slot)) continue;
     if (quarantined_count_ > 0) {
       // Quarantine steering: re-check the die's episode first (it may have
       // ended — readmit), then skip planes on dies still under quarantine.
       const std::uint64_t die = plane / config_.geometry.planes_per_die;
       update_quarantine(die);
-      if (die_quarantined_[die] != 0) continue;
+      if (die_quarantined_[die] != 0) {
+        if (fallback == planes) fallback = v;
+        continue;
+      }
     }
     rr_plane_ = (v + 1) % planes;
     return plane;
   }
-  // Steering fallback: when the healthy dies have no space left, capacity
-  // beats latency — take any plane, quarantined or not.
-  if (quarantined_count_ > 0) {
-    for (std::uint64_t i = 0; i < planes; ++i) {
-      const std::uint64_t v = (rr_plane_ + i) % planes;
-      const std::uint64_t plane =
-          stripe ? (v % chips) * planes_per_chip + v / chips : v;
-      if (plane_has_space(plane, slot)) {
-        rr_plane_ = (v + 1) % planes;
-        return plane;
-      }
-    }
+  if (fallback != planes) {
+    rr_plane_ = (fallback + 1) % planes;
+    return plane_at(fallback);
   }
   for (std::uint64_t p = 0; p < planes; ++p) {
     AF_LOG_WARN("plane %llu: free=%llu retired=%u active[%d]=%u",
@@ -932,41 +908,7 @@ SimTime Engine::run_gc(std::uint64_t plane, SimTime ready) {
       return true;
     });
     if (array_.block(flat).valid_pages > 0) break;  // budget ran out mid-victim
-    AF_CHECK_MSG(cached_weight_[flat] == 0,
-                 "drained victim still carries cached live weight");
-
-    // Crash-safe GC: with a power cut armed, chunks staged off this victim
-    // must be durable before its erase destroys their OOB records (real
-    // controllers hold the erase for the same reason). Without a cut armed
-    // the end-of-pass flush keeps the cheaper cross-victim packing.
-    if (gc_flush_ && array_.power_cut_armed()) gc_flush_(plane, clock);
-
-    // The erase (or the retirement a failed erase turns into) destroys every
-    // raw page in the block; stripes touching it lose their protection now.
-    break_stripes_in(flat);
-
-    {
-      const nand::PhysAddr eaddr = config_.geometry.decode(
-          Ppn{flat * config_.geometry.pages_per_block});
-      const ResourceTimeline::Span span =
-          timeline_.schedule_erase_span(eaddr, clock, slow_of(eaddr));
-      if (config_.deadline.preempt) {
-        array_.arm_suspendable(config_.geometry.chip_index(eaddr),
-                               nand::SuspendSlot::Kind::kErase, span.start,
-                               span.done);
-      }
-      clock = span.done;
-    }
-    if (array_.erase_block(flat)) {
-      stats_.count_erase();
-      planes_[plane].free_blocks.push_back(victim);
-    } else {
-      // Erase failure: the array retired the block (grown bad block). It
-      // never returns to the free list — the plane's spare capacity shrank.
-      ++stats_.faults().erase_faults;
-      ++stats_.faults().retired_blocks;
-      note_retirement(plane);
-    }
+    clock = recycle_block(plane, victim, clock);
     victim = kNoBlock;
   }
   if (config_.capacity.wear_enabled()) clock = wear_level(plane, clock);
@@ -1046,38 +988,53 @@ SimTime Engine::wear_level(std::uint64_t plane, SimTime clock) {
       relocate_page(live, target, clock);
       return true;
     });
-    AF_CHECK_MSG(cached_weight_[flat] == 0,
-                 "recycled cold block still carries cached live weight");
-    // Same erase discipline as the GC loop: staged chunks must outlive the
-    // OOB records the erase destroys when a power cut is armed, and stripes
-    // over the block lapse now.
-    if (gc_flush_ && array_.power_cut_armed()) gc_flush_(plane, clock);
-    break_stripes_in(flat);
-    {
-      const nand::PhysAddr eaddr = config_.geometry.decode(
-          Ppn{flat * config_.geometry.pages_per_block});
-      const ResourceTimeline::Span span =
-          timeline_.schedule_erase_span(eaddr, clock, slow_of(eaddr));
-      if (config_.deadline.preempt) {
-        array_.arm_suspendable(config_.geometry.chip_index(eaddr),
-                               nand::SuspendSlot::Kind::kErase, span.start,
-                               span.done);
-      }
-      clock = span.done;
-    }
-    if (array_.erase_block(flat)) {
-      stats_.count_erase();
-      planes_[plane].free_blocks.push_back(cold);
-    } else {
-      ++stats_.faults().erase_faults;
-      ++stats_.faults().retired_blocks;
-      note_retirement(plane);
-    }
+    clock = recycle_block(plane, cold, clock);
     ++stats_.faults().wear_level_migrations;
     if (array_.wear().spread() < cap.wear_spread_threshold) break;
   }
   wear_target_ = kNoPlane;
   return clock;
+}
+
+SimTime Engine::recycle_block(std::uint64_t plane, std::uint32_t block,
+                              SimTime clock) {
+  const std::uint64_t flat = plane * config_.geometry.blocks_per_plane + block;
+  AF_CHECK_MSG(cached_weight_[flat] == 0,
+               "recycled block still carries cached live weight");
+  // Crash-safe erase: with a power cut armed, chunks staged off this block
+  // must be durable before its erase destroys their OOB records (real
+  // controllers hold the erase for the same reason). Without a cut armed
+  // the end-of-pass flush keeps the cheaper cross-victim packing.
+  if (gc_flush_ && array_.power_cut_armed()) gc_flush_(plane, clock);
+
+  // The erase (or the retirement a failed erase turns into) destroys every
+  // raw page in the block; stripes touching it lose their protection now.
+  break_stripes_in(flat);
+
+  const nand::PhysAddr addr =
+      config_.geometry.decode(Ppn{flat * config_.geometry.pages_per_block});
+  const ResourceTimeline::Span span =
+      timeline_.schedule_erase_span(addr, clock, slow_of(addr));
+  arm_background(addr, nand::SuspendSlot::Kind::kErase, span);
+  if (array_.erase_block(flat)) {
+    stats_.count_erase();
+    planes_[plane].free_blocks.push_back(block);
+  } else {
+    // Erase failure: the array retired the block (grown bad block). It
+    // never returns to the free list — the plane's spare capacity shrank.
+    ++stats_.faults().erase_faults;
+    ++stats_.faults().retired_blocks;
+    note_retirement(plane);
+  }
+  return span.done;
+}
+
+void Engine::arm_background(const nand::PhysAddr& addr,
+                            nand::SuspendSlot::Kind kind,
+                            ResourceTimeline::Span span) {
+  if (!config_.deadline.preempt) return;
+  array_.arm_suspendable(config_.geometry.chip_index(addr), kind, span.start,
+                         span.done);
 }
 
 std::uint32_t Engine::pick_cold_block(std::uint64_t plane) const {
@@ -1119,46 +1076,10 @@ Engine::Programmed Engine::gc_program(std::uint64_t plane,
 }
 
 void Engine::relocate_page(Ppn live, std::uint64_t plane, SimTime& clock) {
+  using Kind = nand::PageOwner::Kind;
   const nand::PageOwner owner = array_.owner(live);
-  if (owner.kind == nand::PageOwner::Kind::kMap) {
-    // Translation pages are engine-owned: copy and update the GTD.
-    clock = flash_read(live, OpKind::kGcRead, clock).done;
-    auto moved = gc_program(plane, owner, clock);
-    clock = moved.done;
-    if (array_.tracks_payload()) copy_stamps(live, moved.ppn);
-    AF_CHECK(map_ != nullptr);
-    map_->on_relocated(owner.id, moved.ppn);
-    invalidate(live);
-  } else if (owner.kind == nand::PageOwner::Kind::kCkpt) {
-    // Checkpoint-journal pages are engine-owned too: copy the serialized
-    // chunk and let the journal repoint its root at the new location.
-    clock = flash_read(live, OpKind::kGcRead, clock).done;
-    auto moved = gc_program(plane, owner, clock);
-    clock = moved.done;
-    array_.move_ckpt_blob(live, moved.ppn);
-    if (ckpt_moved_) ckpt_moved_(live, moved.ppn);
-    invalidate(live);
-  } else if (owner.kind == nand::PageOwner::Kind::kParity) {
-    // Parity pages move like any engine-owned page, keeping the stripe
-    // directory pointed at the new copy. An unreadable parity page (cannot
-    // even be rebuilt) just lapses its stripe's protection.
-    const ReadResult read = flash_read(live, OpKind::kGcRead, clock);
-    clock = read.done;
-    AF_CHECK(stripes_ != nullptr);
-    if (read.data_lost()) {
-      stripes_->drop(owner.id);
-      ++stats_.faults().stripes_broken;
-      invalidate(live);
-    } else {
-      in_parity_ = true;
-      sealing_stripe_ = owner.id;
-      auto moved = gc_program(plane, owner, clock);
-      in_parity_ = false;
-      clock = moved.done;
-      stripes_->on_parity_moved(live, moved.ppn);
-      invalidate(live);
-    }
-  } else {
+  if (owner.kind != Kind::kMap && owner.kind != Kind::kCkpt &&
+      owner.kind != Kind::kParity) {
     // Scheme-owned data page: remember whose page is moving so the nested
     // gc_program (reached via the relocator's engine calls) lands it in the
     // owning tenant's slot and charges that tenant's GC debt — not the
@@ -1173,7 +1094,42 @@ void Engine::relocate_page(Ppn live, std::uint64_t plane, SimTime& clock) {
     }
     relocator_(live, owner, clock);
     gc_relocating_tenant_ = kNoTenant;
+    return;
   }
+
+  // Engine-owned page (translation, checkpoint journal, parity): read it,
+  // program the copy into the GC stream, repoint its owner's directory at
+  // the copy, and drop the original.
+  const ReadResult read = flash_read(live, OpKind::kGcRead, clock);
+  clock = read.done;
+  const bool parity = owner.kind == Kind::kParity;
+  if (parity) {
+    AF_CHECK(stripes_ != nullptr);
+    if (read.data_lost()) {
+      // An unreadable parity page (cannot even be rebuilt) just lapses its
+      // stripe's protection.
+      stripes_->drop(owner.id);
+      ++stats_.faults().stripes_broken;
+      invalidate(live);
+      return;
+    }
+    in_parity_ = true;  // the copy keeps stamping the stripe it seals
+    sealing_stripe_ = owner.id;
+  }
+  const Programmed moved = gc_program(plane, owner, clock);
+  in_parity_ = false;
+  clock = moved.done;
+  if (owner.kind == Kind::kMap) {  // the GTD entry
+    if (array_.tracks_payload()) copy_stamps(live, moved.ppn);
+    AF_CHECK(map_ != nullptr);
+    map_->on_relocated(owner.id, moved.ppn);
+  } else if (owner.kind == Kind::kCkpt) {  // the journal root
+    array_.move_ckpt_blob(live, moved.ppn);
+    if (ckpt_moved_) ckpt_moved_(live, moved.ppn);
+  } else {  // the stripe directory
+    stripes_->on_parity_moved(live, moved.ppn);
+  }
+  invalidate(live);
 }
 
 void Engine::seal_stripe(SimTime ready) {
@@ -1210,10 +1166,7 @@ SimTime Engine::scrub_read(Ppn ppn, SimTime ready) {
   // Health-check sensing only: no transient-failure draw and no ECC ladder.
   // The scrubber acts on the page's deterministic expected BER, so the
   // sweep never consumes RNG and cannot perturb the fault schedules.
-  array_.note_read(ppn);
-  if (config_.faults.ber_enabled()) ++stats_.faults().read_disturb_reads;
-  stats_.count_flash_op(OpKind::kScrubRead);
-  return sched_read(ppn, OpKind::kScrubRead, ready, /*account=*/false);
+  return sense(ppn, OpKind::kScrubRead, ready, /*account=*/false);
 }
 
 SimTime Engine::scrub_relocate(Ppn ppn, SimTime ready) {

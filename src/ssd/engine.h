@@ -293,10 +293,6 @@ class Engine final : private MapIo {
   /// blocks pays for their reclamation.
   std::uint64_t drain_gc_debt_pages(std::uint16_t tenant);
 
-  /// Total stream slots (fixed streams + per-tenant data and GC slots).
-  [[nodiscard]] std::uint32_t stream_slot_count() const { return stream_slots_; }
-  /// Slot a host data program of `tenant` allocates from.
-  [[nodiscard]] std::uint32_t data_slot(std::uint16_t tenant) const;
   /// Tenant attributed to a valid page, or kNoTenant (engine-owned pages,
   /// QoS off). Exposed for tests and recovery verification.
   [[nodiscard]] std::uint16_t page_tenant(Ppn ppn) const {
@@ -313,27 +309,13 @@ class Engine final : private MapIo {
 
   // --- Tail-latency subsystem (DESIGN.md §11) -------------------------------
 
-  /// In-simulated-time deadline ledger for the request currently being
-  /// serviced. While set, foreground reads that would otherwise finish past
-  /// `deadline` may suspend in-flight background erase/program ops
+  /// In-simulated-time deadline of the request currently being serviced.
+  /// While set, foreground reads that would otherwise finish past it may
+  /// suspend in-flight background erase/program ops
   /// (config.deadline.preempt); reads finishing late are counted as misses
   /// and feed die quarantine. Cleared between requests; never set unless
   /// config.deadline.enabled().
-  struct DeadlineLedger {
-    SimTime deadline = 0;
-  };
-  void set_deadline_ledger(std::optional<DeadlineLedger> ledger) {
-    ledger_ = ledger;
-  }
-  [[nodiscard]] const std::optional<DeadlineLedger>& deadline_ledger() const {
-    return ledger_;
-  }
-
-  /// Dies currently quarantined (allocation steered away). Empty unless
-  /// config.deadline.quarantine_misses > 0 and misses accumulated.
-  [[nodiscard]] std::uint64_t quarantined_dies() const;
-  /// True when `die` (flat index, chip-major) is quarantined right now.
-  [[nodiscard]] bool die_quarantined(std::uint64_t die) const;
+  void set_deadline(std::optional<SimTime> deadline) { deadline_ = deadline; }
 
   /// Total GC passes run.
   [[nodiscard]] std::uint64_t gc_runs() const { return gc_runs_; }
@@ -344,22 +326,10 @@ class Engine final : private MapIo {
   /// serving reads and internal housekeeping.
   [[nodiscard]] bool read_only() const { return read_only_; }
 
-  /// Blocks retired in `plane` so far (grown bad blocks).
-  [[nodiscard]] std::uint32_t retired_blocks(std::uint64_t plane) const {
-    return planes_[plane].retired;
-  }
-
   /// Sum of live weights over a block's valid pages, recomputed from scratch
   /// through the VictimWeight oracle (brute force; public for tests and the
   /// debug consistency checks).
   [[nodiscard]] std::uint64_t block_weight(std::uint64_t flat_block) const;
-
-  /// The incrementally-maintained live weight of a block — what victim
-  /// selection actually reads. Invariant: equals block_weight() whenever the
-  /// scheme's note_page_weight() pushes are correct.
-  [[nodiscard]] std::uint64_t cached_block_weight(std::uint64_t flat_block) const {
-    return cached_weight_[flat_block];
-  }
 
   /// Cross-validates the weight caches against a brute-force recompute of
   /// every block (and the per-page weights against the oracle). Aborts
@@ -421,6 +391,8 @@ class Engine final : private MapIo {
   [[nodiscard]] static constexpr std::uint32_t slot_of(Stream stream) {
     return static_cast<std::uint32_t>(stream);
   }
+  /// Slot a host data program of `tenant` allocates from.
+  [[nodiscard]] std::uint32_t data_slot(std::uint16_t tenant) const;
   /// Slot a GC relocation of `tenant`'s page programs into: the tenant's
   /// GC slot under per-tenant streams, the shared kGc slot otherwise.
   [[nodiscard]] std::uint32_t gc_slot(std::uint16_t tenant) const;
@@ -458,10 +430,24 @@ class Engine final : private MapIo {
   /// pages so GC reclaims them.
   void break_stripes_in(std::uint64_t flat_block);
 
-  /// Relocates one live page during GC/scrub, dispatching on its owner kind
-  /// (map / checkpoint / parity pages are engine-owned; everything else goes
-  /// through the scheme's relocator).
+  /// Relocates one live page during GC/scrub. Scheme-owned pages go through
+  /// the scheme's relocator; engine-owned ones (map / checkpoint / parity)
+  /// are read, re-programmed through gc_program, repointed in their owner's
+  /// directory and invalidated.
   void relocate_page(Ppn live, std::uint64_t plane, SimTime& clock);
+
+  /// Erases a drained block (GC victim or wear-leveling cold block) and
+  /// returns it to the plane's free list, or retires it when the erase
+  /// fails. Flushes staged GC chunks first when a power cut is armed and
+  /// breaks the stripes over the block. Returns the erase completion.
+  [[nodiscard]] SimTime recycle_block(std::uint64_t plane, std::uint32_t block,
+                                      SimTime clock);
+
+  /// Makes a background op (GC/checkpoint program, erase) occupying `span`
+  /// on `addr`'s chip suspendable by foreground reads; no-op unless
+  /// config.deadline.preempt.
+  void arm_background(const nand::PhysAddr& addr, nand::SuspendSlot::Kind kind,
+                      ResourceTimeline::Span span);
 
   /// Picks the plane for the next allocation of `slot`: round-robin over
   /// planes with usable space. Pure striping balances *capacity* across
@@ -512,11 +498,17 @@ class Engine final : private MapIo {
   /// Exactly 1.0 — and query-free, so the lazy episode schedules never
   /// materialize — with the model unconfigured.
   [[nodiscard]] double slow_of(const nand::PhysAddr& a);
+  /// One page sensing: power-cut op accounting and read-disturb exposure
+  /// (FlashArray::note_read), the op count, then sched_read. Every read
+  /// except mount_read goes through here — first reads, transient retries,
+  /// ECC ladder steps, parity-rebuild peers and scrub checks.
+  [[nodiscard]] SimTime sense(Ppn ppn, OpKind kind, SimTime ready,
+                              bool account = true);
   /// Deadline-aware read scheduling: applies the fail-slow multiplier, may
   /// suspend an armed background erase/program when queueing behind it would
-  /// miss the ledger, records the op-kind service time, and (when `account`)
-  /// books a deadline miss against the page's die. With no ledger set this
-  /// degrades to a plain schedule_read.
+  /// miss the deadline, records the op-kind service time, and (when
+  /// `account`) books a deadline miss against the page's die. With no
+  /// deadline set this degrades to a plain schedule_read.
   [[nodiscard]] SimTime sched_read(Ppn ppn, OpKind kind, SimTime ready,
                                    bool account = true);
   void note_deadline_miss(std::uint64_t die);
@@ -571,11 +563,11 @@ class Engine final : private MapIo {
   std::vector<std::uint16_t> page_tenant_;
   std::vector<std::uint64_t> tenant_live_pages_;
   std::vector<std::uint64_t> tenant_gc_debt_;
-  // Tail-latency state (DESIGN.md §11): the per-request deadline ledger and
-  // the per-die quarantine book. The ledger is only ever set by the facade
+  // Tail-latency state (DESIGN.md §11): the per-request deadline and the
+  // per-die quarantine book. The deadline is only ever set by the facade
   // when config_.deadline.enabled(); the quarantine vectors stay empty unless
   // quarantine_misses is configured — default runs allocate and touch nothing.
-  std::optional<DeadlineLedger> ledger_;
+  std::optional<SimTime> deadline_;
   std::vector<std::uint32_t> die_misses_;
   std::vector<std::uint8_t> die_quarantined_;
   std::uint64_t quarantined_count_ = 0;

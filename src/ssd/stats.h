@@ -118,7 +118,7 @@ struct FaultRecoveryStats {
 };
 
 /// Tail-latency subsystem accounting (DESIGN.md §11). All zero unless
-/// config.deadline arms the ledger / preemption / quarantine, so a
+/// config.deadline arms the deadline / preemption / quarantine, so a
 /// default-config run carries no trace of the subsystem.
 struct TailStats {
   std::uint64_t erase_suspends = 0;    // background erases preempted
@@ -130,7 +130,7 @@ struct TailStats {
   // readers still compile.
   std::uint64_t hedged_reads = 0;
   std::uint64_t hedge_wins = 0;
-  std::uint64_t deadline_misses = 0;   // flash reads finishing past the ledger
+  std::uint64_t deadline_misses = 0;   // flash reads finishing past the deadline
   std::uint64_t deadline_retries = 0;  // retry-ladder re-issues
   std::uint64_t deadline_exceeded = 0; // requests escalated to kDeadlineExceeded
   std::uint64_t quarantines = 0;       // dies steered away from

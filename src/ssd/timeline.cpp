@@ -39,11 +39,6 @@ SimTime ResourceTimeline::schedule_read(const nand::PhysAddr& addr,
   return done;
 }
 
-SimTime ResourceTimeline::schedule_program(const nand::PhysAddr& addr,
-                                           SimTime ready, double slow) {
-  return schedule_program_span(addr, ready, slow).done;
-}
-
 ResourceTimeline::Span ResourceTimeline::schedule_program_span(
     const nand::PhysAddr& addr, SimTime ready, double slow) {
   SimTime& chip = chip_busy_until_[addr.channel * geom_.chips_per_channel +
@@ -60,11 +55,6 @@ ResourceTimeline::Span ResourceTimeline::schedule_program_span(
   return Span{xfer_end, done};
 }
 
-SimTime ResourceTimeline::schedule_erase(const nand::PhysAddr& addr,
-                                         SimTime ready, double slow) {
-  return schedule_erase_span(addr, ready, slow).done;
-}
-
 ResourceTimeline::Span ResourceTimeline::schedule_erase_span(
     const nand::PhysAddr& addr, SimTime ready, double slow) {
   SimTime& chip = chip_busy_until_[addr.channel * geom_.chips_per_channel +
@@ -75,7 +65,7 @@ ResourceTimeline::Span ResourceTimeline::schedule_erase_span(
   return Span{start, done};
 }
 
-ResourceTimeline::PreemptedRead ResourceTimeline::schedule_preempting_read(
+SimTime ResourceTimeline::schedule_preempting_read(
     const nand::PhysAddr& addr, SimTime ready, double slow,
     nand::SuspendSlot& slot, SimDuration resume_overhead) {
   SimTime& chip = chip_busy_until_[addr.channel * geom_.chips_per_channel +
@@ -98,13 +88,7 @@ ResourceTimeline::PreemptedRead ResourceTimeline::schedule_preempting_read(
   slot.front = sense_end;
   slot.end += cell + resume_overhead;
   chip = std::max(chip, slot.end);
-  return PreemptedRead{done, slot.end};
-}
-
-SimTime ResourceTimeline::chip_backlog(std::uint64_t chip_idx,
-                                       SimTime now) const {
-  const SimTime busy = chip_busy_until_[chip_idx];
-  return busy > now ? busy - now : 0;
+  return done;
 }
 
 void ResourceTimeline::reset() {

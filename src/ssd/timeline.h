@@ -41,34 +41,26 @@ class ResourceTimeline {
                                       SimTime ready, double slow = 1.0);
 
   /// Program: channel streams data in, then the chip programs the cells.
-  /// Returns completion time of the program.
-  [[nodiscard]] SimTime schedule_program(const nand::PhysAddr& addr,
-                                         SimTime ready, double slow = 1.0);
-
-  /// Erase occupies only the chip.
-  [[nodiscard]] SimTime schedule_erase(const nand::PhysAddr& addr,
-                                       SimTime ready, double slow = 1.0);
-
-  /// Span-returning variants for callers that arm suspend slots: the window
+  /// The returned span is the cell-programming window; `done` is the
+  /// program's completion. Callers that arm suspend slots hand the span on:
   /// [start, done) is what a preempting read slices into.
   [[nodiscard]] Span schedule_program_span(const nand::PhysAddr& addr,
                                            SimTime ready, double slow = 1.0);
+  /// Erase occupies only the chip, over the returned span.
   [[nodiscard]] Span schedule_erase_span(const nand::PhysAddr& addr,
                                          SimTime ready, double slow = 1.0);
 
   /// Foreground read preempting the suspendable background op recorded in
   /// `slot` (which must still be in flight: ready < slot.end). The read
   /// senses at max(ready, slot.front) instead of waiting for slot.end; the
-  /// victim's completion is pushed out by the sensing time plus
+  /// victim's completion (slot.end) is pushed out by the sensing time plus
   /// `resume_overhead`, and the chip's busy-until follows the victim. The
   /// caller counts the suspension and enforces ceiling/nesting caps.
-  struct PreemptedRead {
-    SimTime done = 0;         ///< transfer completion of the foreground read
-    SimTime victim_done = 0;  ///< pushed-out completion of the suspended op
-  };
-  [[nodiscard]] PreemptedRead schedule_preempting_read(
-      const nand::PhysAddr& addr, SimTime ready, double slow,
-      nand::SuspendSlot& slot, SimDuration resume_overhead);
+  /// Returns the read's transfer completion.
+  [[nodiscard]] SimTime schedule_preempting_read(const nand::PhysAddr& addr,
+                                                 SimTime ready, double slow,
+                                                 nand::SuspendSlot& slot,
+                                                 SimDuration resume_overhead);
 
   [[nodiscard]] SimTime chip_free_at(std::uint64_t chip_idx) const {
     return chip_busy_until_[chip_idx];
@@ -76,10 +68,6 @@ class ResourceTimeline {
   [[nodiscard]] SimTime channel_free_at(std::uint32_t channel) const {
     return channel_busy_until_[channel];
   }
-
-  /// Earliest completion the plane's chip could offer for a program issued at
-  /// `ready` — used by allocation policies that prefer idle chips.
-  [[nodiscard]] SimTime chip_backlog(std::uint64_t chip_idx, SimTime now) const;
 
   void reset();
 

@@ -148,20 +148,31 @@ TEST_P(CapacityPressure, WearLevelingNarrowsEraseSpread) {
   config.capacity.wear_spread_threshold = 4;
   config.capacity.wear_migrate_per_pass = 2;
   const std::uint32_t spp = config.geometry.sectors_per_page();
-  const std::uint64_t pages = config.logical_sectors() / spp;
+
+  // Cold data fills the first half of the space once; 12,000 hot requests
+  // then churn the second half, `gap` ns apart. With `cold_reads`, every
+  // third hot request reads a cold page instead of writing a hot one.
+  auto churn = [&](sim::Ssd& ssd, SimDuration gap, bool cold_reads) {
+    const std::uint64_t pages = ssd.config().logical_sectors() / spp;
+    SimTime t = 1;
+    for (std::uint64_t p = 0; p < pages / 2; ++p, t += gap) {
+      (void)test::submit_ok(ssd, write_req(t, p * spp, spp));
+    }
+    Rng rng(7);
+    for (int i = 0; i < 12'000; ++i, t += gap) {
+      if (cold_reads && i % 3 == 2) {
+        const std::uint64_t p = rng.below(pages / 2);
+        (void)test::submit_ok(
+            ssd, {t, /*write=*/false, SectorRange::of(p * spp, spp)});
+        continue;
+      }
+      const std::uint64_t p = pages / 2 + rng.below(pages / 2);
+      (void)test::submit_ok(ssd, write_req(t, p * spp, spp));
+    }
+  };
 
   sim::Ssd ssd(config, GetParam());
-  SimTime t = 1;
-  // Cold data: the first half of the space, written once.
-  for (std::uint64_t p = 0; p < pages / 2; ++p) {
-    (void)test::submit_ok(ssd, write_req(t++, p * spp, spp));
-  }
-  // Hot churn confined to the second half.
-  Rng rng(7);
-  for (int i = 0; i < 12'000; ++i) {
-    const std::uint64_t p = pages / 2 + rng.below(pages / 2);
-    (void)test::submit_ok(ssd, write_req(t++, p * spp, spp));
-  }
+  churn(ssd, 1, /*cold_reads=*/false);
 
   const auto& faults = ssd.stats().faults();
   EXPECT_GT(faults.wear_level_migrations, 0u);
@@ -175,6 +186,31 @@ TEST_P(CapacityPressure, WearLevelingNarrowsEraseSpread) {
 
   test::verify_full_space(ssd);
   if (auto* across = dynamic_cast<ftl::AcrossFtl*>(&ssd.scheme())) {
+    across->check_invariants();
+  }
+
+  // Leveling beside parity stripes and preemptible erases: a cold block's
+  // recycling must break the stripes over it, and its erase must be
+  // suspendable by the foreground reads that arrive while it runs. Parity
+  // adds a valid page per three data pages, and every relocation pays its
+  // share too, so at tiny's 75% export (or at 50%) GC soon cannot hold the
+  // free-space floor and the device turns read-only; 45% leaves room for
+  // the whole run.
+  auto armed = config;
+  armed.exported_fraction = 0.45;
+  armed.integrity.parity_stripe_width = 4;
+  armed.deadline.read_deadline_us = 5000;
+  armed.deadline.max_retries = 0;
+  armed.deadline.preempt = true;
+  sim::Ssd leveled(armed, GetParam());
+  churn(leveled, 200'000, /*cold_reads=*/true);
+
+  EXPECT_GT(leveled.stats().faults().wear_level_migrations, 0u);
+  EXPECT_GT(leveled.stats().faults().stripes_broken, 0u);
+  EXPECT_GT(leveled.stats().tail().erase_suspends, 0u);
+  test::verify_full_space(leveled);
+  leveled.engine().verify_victim_accounting();
+  if (auto* across = dynamic_cast<ftl::AcrossFtl*>(&leveled.scheme())) {
     across->check_invariants();
   }
 }

@@ -154,7 +154,7 @@ TEST(FaultModel, BerStreamIndependentOfTransientStream) {
   both.ber_base = 4.0;
   FaultModel a(transient_only);
   FaultModel b(both);
-  for (int i = 0; i < 200; ++i) {
+  for (std::uint64_t i = 0; i < 200; ++i) {
     (void)b.raw_bit_errors(4.0);  // consume the BER stream between queries
     EXPECT_EQ(a.program_fails(i % 7), b.program_fails(i % 7));
     EXPECT_EQ(a.erase_fails(i % 5), b.erase_fails(i % 5));

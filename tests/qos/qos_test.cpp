@@ -159,8 +159,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, Qos,
                          ::testing::Values(ftl::SchemeKind::kPageFtl,
                                            ftl::SchemeKind::kMrsm,
                                            ftl::SchemeKind::kAcrossFtl),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case ftl::SchemeKind::kPageFtl: return "PageFtl";
                              case ftl::SchemeKind::kMrsm: return "MrsmFtl";
                              default: return "AcrossFtl";

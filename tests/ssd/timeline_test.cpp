@@ -34,30 +34,33 @@ TEST(Timeline, ReadLatencyOnIdleResources) {
 
 TEST(Timeline, ProgramLatencyOnIdleResources) {
   ResourceTimeline tl(two_channel(), fixed_timing());
-  const SimTime done = tl.schedule_program({0, 0, 0, 0, 0, 0}, 0);
-  EXPECT_EQ(done, 10 + 1000);  // transfer then program
+  const auto span = tl.schedule_program_span({0, 0, 0, 0, 0, 0}, 0);
+  EXPECT_EQ(span.done, 10 + 1000);  // transfer then program
+  EXPECT_EQ(span.start, 10u);       // the cell window follows the transfer
 }
 
 TEST(Timeline, EraseOccupiesOnlyChip) {
   ResourceTimeline tl(two_channel(), fixed_timing());
-  const SimTime done = tl.schedule_erase({0, 0, 0, 0, 0, 0}, 0);
-  EXPECT_EQ(done, 5000u);
+  const auto span = tl.schedule_erase_span({0, 0, 0, 0, 0, 0}, 0);
+  EXPECT_EQ(span.start, 0u);
+  EXPECT_EQ(span.done, 5000u);
   EXPECT_EQ(tl.channel_free_at(0), 0u);  // channel untouched
   EXPECT_EQ(tl.chip_free_at(0), 5000u);
 }
 
 TEST(Timeline, SameChipSerialises) {
   ResourceTimeline tl(two_channel(), fixed_timing());
-  const SimTime first = tl.schedule_program({0, 0, 0, 0, 0, 0}, 0);
-  const SimTime second = tl.schedule_program({0, 0, 0, 0, 0, 1}, 0);
+  const SimTime first = tl.schedule_program_span({0, 0, 0, 0, 0, 0}, 0).done;
+  const SimTime second =
+      tl.schedule_program_span({0, 0, 0, 0, 0, 1}, 0).done;
   EXPECT_EQ(first, 1010u);
   EXPECT_EQ(second, first + 10 + 1000);
 }
 
 TEST(Timeline, DifferentChipsShareOnlyChannel) {
   ResourceTimeline tl(two_channel(), fixed_timing());
-  const SimTime a = tl.schedule_program({0, 0, 0, 0, 0, 0}, 0);
-  const SimTime b = tl.schedule_program({0, 1, 0, 0, 0, 0}, 0);
+  const SimTime a = tl.schedule_program_span({0, 0, 0, 0, 0, 0}, 0).done;
+  const SimTime b = tl.schedule_program_span({0, 1, 0, 0, 0, 0}, 0).done;
   EXPECT_EQ(a, 1010u);
   // Second chip waits only for the 10ns channel transfer, then programs in
   // parallel with the first chip.
@@ -66,14 +69,14 @@ TEST(Timeline, DifferentChipsShareOnlyChannel) {
 
 TEST(Timeline, DifferentChannelsFullyParallel) {
   ResourceTimeline tl(two_channel(), fixed_timing());
-  const SimTime a = tl.schedule_program({0, 0, 0, 0, 0, 0}, 0);
-  const SimTime b = tl.schedule_program({1, 0, 0, 0, 0, 0}, 0);
+  const SimTime a = tl.schedule_program_span({0, 0, 0, 0, 0, 0}, 0).done;
+  const SimTime b = tl.schedule_program_span({1, 0, 0, 0, 0, 0}, 0).done;
   EXPECT_EQ(a, b);
 }
 
 TEST(Timeline, ProgramFreesChannelBeforeCellWork) {
   ResourceTimeline tl(two_channel(), fixed_timing());
-  (void)tl.schedule_program({0, 0, 0, 0, 0, 0}, 0);
+  (void)tl.schedule_program_span({0, 0, 0, 0, 0, 0}, 0);
   EXPECT_EQ(tl.channel_free_at(0), 10u);
   EXPECT_EQ(tl.chip_free_at(0), 1010u);
 }
@@ -90,16 +93,9 @@ TEST(Timeline, CompletionNeverBeforeReady) {
   EXPECT_GE(tl.schedule_read({0, 0, 0, 0, 0, 0}, 1'000'000), 1'000'000u);
 }
 
-TEST(Timeline, ChipBacklog) {
-  ResourceTimeline tl(two_channel(), fixed_timing());
-  (void)tl.schedule_program({0, 0, 0, 0, 0, 0}, 0);
-  EXPECT_EQ(tl.chip_backlog(0, 0), 1010u);
-  EXPECT_EQ(tl.chip_backlog(0, 2000), 0u);
-}
-
 TEST(Timeline, ResetClearsBacklog) {
   ResourceTimeline tl(two_channel(), fixed_timing());
-  (void)tl.schedule_program({0, 0, 0, 0, 0, 0}, 0);
+  (void)tl.schedule_program_span({0, 0, 0, 0, 0, 0}, 0);
   tl.reset();
   EXPECT_EQ(tl.chip_free_at(0), 0u);
   EXPECT_EQ(tl.channel_free_at(0), 0u);

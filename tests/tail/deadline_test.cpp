@@ -1,8 +1,9 @@
 // Deadline-driven tail machinery end-to-end (DESIGN.md §11): bit-identity
 // when the subsystem is unarmed or armed-but-never-triggered, the
 // retry-backoff ladder + sick-die quarantine rescuing a fail-slow trace
-// without a single kDeadlineExceeded, the ceiling/nesting starvation guards,
-// and open-loop queue-delay accounting.
+// without a single kDeadlineExceeded, allocation falling back to capacity
+// when every die is quarantined, the ceiling/nesting starvation guards, and
+// open-loop queue-delay accounting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,7 +37,7 @@ ssd::SsdConfig sick_config() {
 
 TEST(Deadline, ArmedButNeverTriggeredIsBitIdentical) {
   // A deadline so large no request can bust it must leave every completion
-  // time untouched: the ledger is pure bookkeeping until a miss actually
+  // time untouched: the deadline is pure bookkeeping until a miss actually
   // fires. The inert members (removed hedging and GC-debt throttle, the
   // single-threaded scheduler's worker count) must change nothing either.
   for (const auto kind : kSchemes) {
@@ -145,12 +146,35 @@ TEST(Deadline, RetryLadderSurvivesPowerCut) {
         test::crash_mount(std::move(ssd), config, kind, inflight, pre_stamps);
     SimTime t = 1'000'000'000'000;
     const std::uint32_t spp = config.geometry.sectors_per_page();
-    for (int i = 0; i < 200; ++i) {
+    for (std::uint32_t i = 0; i < 200; ++i) {
       const auto completion = test::submit_ok(
           *mounted,
           {t, i % 3 != 0, SectorRange::of((i % 64) * spp, spp)});
       t = completion.done + 1000;
     }
+  }
+}
+
+TEST(Deadline, EveryDieQuarantinedFallsBackToCapacity) {
+  // Both of tiny's dies are sick for the whole run, so once each has missed
+  // a deadline every plane with space sits on a quarantined die. Allocation
+  // must then fall back to capacity — the first plane with space — rather
+  // than declare the device full, and every write must still verify.
+  for (const auto kind : kSchemes) {
+    auto config = test::tiny_config();
+    config.faults.slow_multiplier = 20.0;
+    config.faults.slow_dies = 2;
+    config.faults.slow_gap_ops = 1;
+    config.faults.slow_episode_ops = 1'000'000'000'000;
+    config.deadline.read_deadline_us = 1000;
+    config.deadline.max_retries = 0;
+    config.deadline.quarantine_misses = 1;
+    sim::Ssd ssd(config, kind);
+    test::WorkloadGen gen(config.logical_sectors(),
+                          config.geometry.sectors_per_page(), 17);
+    for (int i = 0; i < 3000; ++i) (void)test::submit_ok(ssd, gen.next());
+    EXPECT_EQ(ssd.engine().stats().tail().quarantines, 2u);
+    test::verify_full_space(ssd);
   }
 }
 

@@ -49,20 +49,19 @@ TEST(Suspend, PreemptingReadSlicesIntoEraseWindow) {
   EXPECT_EQ(span.done, 5000u);
   auto slot = slot_over(nand::SuspendSlot::Kind::kErase, span);
 
-  const auto pre =
+  const SimTime done =
       tl.schedule_preempting_read({0, 0, 0, 0, 0, 1}, 200, 1.0, slot, 40);
   // The read senses immediately at its ready time — not at the erase's
   // completion — then pays the channel transfer.
-  EXPECT_EQ(pre.done, 200u + 100 + 10);
+  EXPECT_EQ(done, 200u + 100 + 10);
   // The victim loses the chip for the sensing window and pays the resume
   // re-ramp on top.
-  EXPECT_EQ(pre.victim_done, 5000u + 100 + 40);
-  EXPECT_EQ(slot.end, pre.victim_done);
+  EXPECT_EQ(slot.end, 5000u + 100 + 40);
   // The suspension front advances to the sense end: the chip admits no
   // second preempting read earlier than that.
   EXPECT_EQ(slot.front, 300u);
   // Ordinary ops queue behind the pushed-out victim, not the original end.
-  EXPECT_EQ(tl.chip_free_at(0), pre.victim_done);
+  EXPECT_EQ(tl.chip_free_at(0), slot.end);
 }
 
 TEST(Suspend, StackedPreemptionsSerializeOnTheSuspendFront) {
@@ -70,32 +69,32 @@ TEST(Suspend, StackedPreemptionsSerializeOnTheSuspendFront) {
   const auto span = tl.schedule_erase_span({0, 0, 0, 0, 0, 0}, 0);
   auto slot = slot_over(nand::SuspendSlot::Kind::kErase, span);
 
-  const auto first =
+  const SimTime first =
       tl.schedule_preempting_read({0, 0, 0, 0, 0, 1}, 100, 1.0, slot, 40);
-  EXPECT_EQ(first.done, 100u + 100 + 10);
+  EXPECT_EQ(first, 100u + 100 + 10);
   EXPECT_EQ(slot.front, 200u);
 
   // A second read ready at the same instant cannot sense concurrently: it
   // waits for the first suspension's sense window to drain (slot.front).
-  const auto second =
+  const SimTime second =
       tl.schedule_preempting_read({0, 0, 0, 0, 0, 2}, 100, 1.0, slot, 40);
-  EXPECT_EQ(second.done, 200u + 100 + 10);
+  EXPECT_EQ(second, 200u + 100 + 10);
   EXPECT_EQ(slot.front, 300u);
   // Each suspension charges the victim its sensing time plus one resume
   // overhead — the push-outs accumulate.
-  EXPECT_EQ(second.victim_done, 5000u + 2 * (100 + 40));
-  EXPECT_EQ(tl.chip_free_at(0), second.victim_done);
+  EXPECT_EQ(slot.end, 5000u + 2 * (100 + 40));
+  EXPECT_EQ(tl.chip_free_at(0), slot.end);
 }
 
 TEST(Suspend, SlowFactorScalesOnlyTheSense) {
   ResourceTimeline tl(two_channel(), fixed_timing());
   const auto span = tl.schedule_program_span({0, 0, 0, 0, 0, 0}, 0);
   auto slot = slot_over(nand::SuspendSlot::Kind::kProgram, span);
-  const auto pre =
+  const SimTime done =
       tl.schedule_preempting_read({0, 0, 0, 0, 0, 1}, span.start, 3.0, slot, 40);
   // Sense is 3x slower (fail-slow die); the channel transfer is unaffected.
-  EXPECT_EQ(pre.done, span.start + 300 + 10);
-  EXPECT_EQ(pre.victim_done, span.done + 300 + 40);
+  EXPECT_EQ(done, span.start + 300 + 10);
+  EXPECT_EQ(slot.end, span.done + 300 + 40);
 }
 
 TEST(Suspend, SlotLifecycleArmsOverwritesAndDisarms) {

@@ -404,7 +404,7 @@ void rule_deadline_clock(const FileView& f, std::vector<Finding>& out) {
         report(f, out, i, "deadline-clock",
                std::string("host-clock primitive '") + p +
                    "' in the deadline/simulated-time subsystem — deadlines "
-                   "are SimTime arithmetic on the DeadlineLedger, never "
+                   "are SimTime arithmetic on request arrival times, never "
                    "wall time");
         break;  // one finding per line, whichever pattern hits first
       }

@@ -43,7 +43,7 @@ struct FunctionInfo {
 };
 
 struct ClassInfo {
-  std::string name;  // fully qualified, e.g. "af::ssd::Engine::DeadlineLedger"
+  std::string name;  // fully qualified, e.g. "af::ssd::Engine::GcPerf"
   std::string file;
   int line = 0;
   std::vector<MemberVar> members;

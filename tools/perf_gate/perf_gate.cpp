@@ -39,7 +39,7 @@
 // arrays, strings, numbers, booleans); it is not a general JSON library.
 //
 // Usage:
-//   perf_gate --baseline BENCH_perf.json --candidate BENCH_perf_ci.json \
+//   perf_gate --baseline BENCH_perf.json --candidate BENCH_perf_ci.json
 //             [--max-regression 0.25] [--min-qd-speedup 2.0]
 // Exit status: 0 = gate passed, 1 = regression found, 2 = usage/parse error.
 #include <cstdarg>
