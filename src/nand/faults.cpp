@@ -108,7 +108,7 @@ void FaultModel::advance_slow(DieSlowState& die, std::uint64_t die_index,
     die.init = true;
   }
   while (clock >= die.next_edge) {
-    die.sick = !die.sick && cfg_.slow_episodes_enabled();
+    die.sick = !die.sick;
     const std::uint64_t mean =
         die.sick ? cfg_.slow_episode_ops
                  : std::max<std::uint64_t>(1, cfg_.slow_gap_ops);
@@ -121,7 +121,7 @@ void FaultModel::advance_slow(DieSlowState& die, std::uint64_t die_index,
 }
 
 bool FaultModel::die_sick(std::uint64_t die, std::uint64_t clock) {
-  if (!cfg_.slow_episodes_enabled() || !slow_die(die)) return false;
+  if (!slow_die(die)) return false;
   AF_CHECK(die < slow_.size());
   DieSlowState& state = slow_[static_cast<std::size_t>(die)];
   advance_slow(state, die, clock);
@@ -129,15 +129,7 @@ bool FaultModel::die_sick(std::uint64_t die, std::uint64_t clock) {
 }
 
 double FaultModel::slow_factor(std::uint64_t die, std::uint64_t clock) {
-  if (slow_.empty() || !slow_die(die)) return 1.0;
-  double factor = die_sick(die, clock) ? cfg_.slow_multiplier : 1.0;
-  if (cfg_.slow_ramp_enabled() && clock > cfg_.slow_onset_ops) {
-    const double ramp =
-        1.0 + cfg_.slow_ramp_per_1k *
-                  (static_cast<double>(clock - cfg_.slow_onset_ops) / 1000.0);
-    factor *= std::min(ramp, cfg_.slow_ramp_cap);
-  }
-  return factor;
+  return die_sick(die, clock) ? cfg_.slow_multiplier : 1.0;
 }
 
 }  // namespace af::nand

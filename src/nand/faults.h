@@ -54,7 +54,7 @@ struct FaultConfig {
   /// Cap on read retries drawn for one page read.
   std::uint32_t max_read_retries = 4;
   /// Cap on program-with-reallocation attempts for one logical program.
-  std::uint32_t max_program_retries = 8;
+  static constexpr std::uint32_t kMaxProgramRetries = 8;
 
   // --- Latent bit-error model (data-integrity subsystem, DESIGN.md §8) ----
   // Expected raw bit errors per sensing of a page, as a Poisson intensity
@@ -78,11 +78,10 @@ struct FaultConfig {
 
   // --- Fail-slow model (tail-latency subsystem, DESIGN.md §11) -------------
   // Dies that are not broken, merely slow: transient "sick die" episodes
-  // multiply cell-op latencies for a bounded op-count window, and an optional
-  // permanent ramp models progressive fail-slow degradation. The schedule is
-  // drawn from a third, independent RNG stream keyed per die, so zero-config
-  // runs stay bit-identical and enabling fail-slow never perturbs the op- or
-  // bit-error-fault schedules.
+  // multiply cell-op latencies for a bounded op-count window. The schedule
+  // is drawn from a third, independent RNG stream keyed per die, so
+  // zero-config runs stay bit-identical and enabling fail-slow never
+  // perturbs the op- or bit-error-fault schedules.
 
   /// Latency multiplier applied to cell time (sense/program/erase, not the
   /// channel transfer) while a die is inside a sick episode. Values > 1.0
@@ -94,12 +93,6 @@ struct FaultConfig {
   std::uint64_t slow_gap_ops = 0;
   /// Number of afflicted dies (chosen deterministically from the seed).
   std::uint32_t slow_dies = 1;
-  /// Permanent fail-slow ramp: multiplier grows by `slow_ramp_per_1k` per
-  /// 1000 ops past `slow_onset_ops`, on afflicted dies only, clamped to
-  /// `slow_ramp_cap`. Zero keeps the ramp off.
-  double slow_ramp_per_1k = 0.0;
-  std::uint64_t slow_onset_ops = 0;
-  double slow_ramp_cap = 8.0;
 
   std::uint64_t seed = 0x5EEDFA17u;
 
@@ -108,16 +101,8 @@ struct FaultConfig {
            ber_wear > 0.0;
   }
 
-  [[nodiscard]] bool slow_episodes_enabled() const {
-    return slow_multiplier > 1.0 && slow_episode_ops > 0 && slow_dies > 0;
-  }
-
-  [[nodiscard]] bool slow_ramp_enabled() const {
-    return slow_ramp_per_1k > 0.0 && slow_dies > 0;
-  }
-
   [[nodiscard]] bool slow_enabled() const {
-    return slow_episodes_enabled() || slow_ramp_enabled();
+    return slow_multiplier > 1.0 && slow_episode_ops > 0 && slow_dies > 0;
   }
 
   [[nodiscard]] bool enabled() const {
@@ -180,9 +165,9 @@ class FaultModel {
   /// episode schedule advances lazily. Pure in (config, die, clock).
   [[nodiscard]] bool die_sick(std::uint64_t die, std::uint64_t clock);
 
-  /// Latency multiplier (>= 1.0) for a cell op on `die` at `clock`:
-  /// episode multiplier times the permanent ramp. 1.0 when the model is off
-  /// or the die is healthy; consumes no RNG from the op/BER streams.
+  /// Latency multiplier (>= 1.0) for a cell op on `die` at `clock`: the
+  /// episode multiplier inside a sick episode, 1.0 when the model is off or
+  /// the die is healthy; consumes no RNG from the op/BER streams.
   [[nodiscard]] double slow_factor(std::uint64_t die, std::uint64_t clock);
 
  private:

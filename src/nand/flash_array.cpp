@@ -20,36 +20,12 @@ FlashArray::FlashArray(const Geometry& geometry, bool track_payload,
     stamps_.assign(total * geom_.sectors_per_page(), 0);
   }
   counters_.free_pages = total;
-  suspend_slots_.assign(static_cast<std::size_t>(geom_.total_chips()),
-                        SuspendSlot{});
   // Arm the fail-slow schedules only when configured: the call lays out
   // per-die RNG state, and skipping it keeps a zero-config array identical
   // to a pre-fail-slow build.
   if (faults_.config().slow_enabled()) {
     faults_.init_slow(geom_.total_chips() * geom_.dies_per_chip);
   }
-}
-
-void FlashArray::arm_suspendable(std::uint64_t chip, SuspendSlot::Kind kind,
-                                 SimTime start, SimTime end) {
-  AF_CHECK(chip < suspend_slots_.size());
-  SuspendSlot& slot = suspend_slots_[static_cast<std::size_t>(chip)];
-  slot = SuspendSlot{};
-  slot.kind = kind;
-  slot.start = start;
-  slot.end = end;
-  slot.front = start;
-}
-
-void FlashArray::disarm_suspendable(std::uint64_t chip) {
-  AF_CHECK(chip < suspend_slots_.size());
-  suspend_slots_[static_cast<std::size_t>(chip)] = SuspendSlot{};
-}
-
-SuspendSlot* FlashArray::suspend_slot(std::uint64_t chip) {
-  AF_CHECK(chip < suspend_slots_.size());
-  SuspendSlot& slot = suspend_slots_[static_cast<std::size_t>(chip)];
-  return slot.active() ? &slot : nullptr;
 }
 
 void FlashArray::arm_power_cut(const PowerCutPlan& plan) {

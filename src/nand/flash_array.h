@@ -151,26 +151,6 @@ struct BlockInfo {
   }
 };
 
-/// Timing-level record of one in-flight suspendable background op (GC/wear
-/// erase, GC relocation or checkpoint program) occupying a chip. The array
-/// state change itself is synchronous — pages flip instantly — so suspension
-/// is purely temporal: a preempting foreground read slots in at `front` and
-/// pushes `end` (the op's completion estimate) out by the read's cell time
-/// plus the resume overhead. All fields are simulated time; no wall clock.
-struct SuspendSlot {
-  enum class Kind : std::uint8_t { kNone, kProgram, kErase };
-  Kind kind = Kind::kNone;
-  SimTime start = 0;  ///< when the op began occupying the chip
-  SimTime end = 0;    ///< completion estimate, pushed out per resume
-  /// Chip admits the next preempting read no earlier than this (the latest
-  /// preempting read's sense end — preempting reads serialize on the chip).
-  SimTime front = 0;
-  std::uint32_t suspends = 0;  ///< suspensions charged against this op
-  std::uint32_t nested = 0;    ///< preempting reads currently stacked
-
-  [[nodiscard]] bool active() const { return kind != Kind::kNone; }
-};
-
 /// Aggregate state counters maintained incrementally. Page-state counters
 /// conserve: free + valid + invalid + retired == total pages.
 struct ArrayCounters {
@@ -385,23 +365,6 @@ class FlashArray {
   /// RAM-only at crash time and is NOT superseded by newer OOB records.
   void recover_revive(Ppn ppn, PageOwner owner);
 
-  // --- Program/erase suspend-resume (tail subsystem) ------------------------
-  // One slot per chip: only the newest suspendable op on a chip can be
-  // preempted (the busy-until timeline serializes chip ops anyway). Arming a
-  // slot is free bookkeeping; nothing in the default pipeline reads them
-  // unless the deadline subsystem is on.
-
-  /// Registers the suspendable background op now occupying `chip` over the
-  /// simulated window [start, end). Overwrites any previous (completed) slot.
-  void arm_suspendable(std::uint64_t chip, SuspendSlot::Kind kind,
-                       SimTime start, SimTime end);
-  /// Clears the chip's slot (op completed or ceiling forced completion).
-  void disarm_suspendable(std::uint64_t chip);
-  /// The chip's suspendable op, or nullptr when none is armed. The caller
-  /// (the engine) decides whether the slot is still in flight at its read's
-  /// ready time and mutates it through this pointer.
-  [[nodiscard]] SuspendSlot* suspend_slot(std::uint64_t chip);
-
   // --- Payload stamps (oracle support) --------------------------------------
 
   [[nodiscard]] bool tracks_payload() const { return !stamps_.empty(); }
@@ -445,9 +408,6 @@ class FlashArray {
   std::vector<TrimTombstone> trim_log_;
   MountRoot root_;
   ArrayCounters counters_;
-  /// One suspendable-op slot per chip (tail subsystem); all kNone unless the
-  /// deadline subsystem arms them.
-  std::vector<SuspendSlot> suspend_slots_;
   std::uint64_t next_seq_ = 0;
   PowerCutPlan power_cut_;
   std::uint64_t ops_since_arm_ = 0;

@@ -94,39 +94,17 @@ void SsdPipeline::update_gates(const ftl::IoRequest& req, SimTime done) {
   if (!open_loop_) slots_.push(done);
 }
 
-std::vector<std::uint64_t> SsdPipeline::pre_stamps(
-    const ftl::IoRequest& req) const {
-  // Only the crash harness pays for this: with an armed power cut, the
-  // interrupted write's sectors may legitimately read back as either
-  // version after the mount, so their pre-submission stamps are kept.
-  std::vector<std::uint64_t> stamps;
-  if (!req.write || req.trim || device_.oracle() == nullptr ||
-      !device_.engine().array().power_cut_armed()) {
-    return stamps;
-  }
-  stamps.reserve(req.range.size());
-  for (SectorAddr s = req.range.begin; s < req.range.end; ++s) {
-    stamps.push_back(device_.oracle()->expected(s));
-  }
-  return stamps;
-}
-
 void SsdPipeline::submit(const ftl::IoRequest& req) {
   flush();
   CompletionRecord& rec = records_.emplace_back();
   ftl::IoRequest issued = req;
   issued.arrival = issue_time(req);
-  std::vector<std::uint64_t> stamps = pre_stamps(issued);
   Ssd::Completion c;
   try {
     c = device_.submit(issued);
   } catch (const nand::PowerLoss& loss) {
     crashed_ = true;
     crash_op_ = loss.op_index;
-    if (req.write && !req.trim) {
-      crash_inflight_ = req.range;
-      crash_pre_stamps_ = std::move(stamps);
-    }
     throw;
   }
   update_gates(issued, c.done);

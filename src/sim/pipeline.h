@@ -99,16 +99,10 @@ class SsdPipeline {
   /// Latest simulated completion of the measured phase.
   [[nodiscard]] SimTime makespan_ns() const { return makespan_; }
 
-  // Crash introspection for the power-cut harness (post-PowerLoss).
+  // Crash introspection (post-PowerLoss); Ssd::remount(device()) mounts
+  // what survived.
   [[nodiscard]] bool crashed() const { return crashed_; }
   [[nodiscard]] std::uint64_t crash_op_index() const { return crash_op_; }
-  /// Range of the write interrupted mid-flight (empty if the cut hit a
-  /// read/erase) and its pre-submission stamps — the only sectors the
-  /// post-mount oracle sweep may tolerate at the old version.
-  [[nodiscard]] SectorRange crash_inflight() const { return crash_inflight_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& crash_pre_stamps() const {
-    return crash_pre_stamps_;
-  }
 
  private:
   struct PageGate {
@@ -126,8 +120,6 @@ class SsdPipeline {
   [[nodiscard]] SimTime issue_time(const ftl::IoRequest& req);
   /// Records `req` completing at `done` in every gate.
   void update_gates(const ftl::IoRequest& req, SimTime done);
-  [[nodiscard]] std::vector<std::uint64_t> pre_stamps(
-      const ftl::IoRequest& req) const;
 
   const std::uint32_t queue_depth_;
   const bool open_loop_;
@@ -138,8 +130,6 @@ class SsdPipeline {
   std::uint64_t lost_requests_ = 0;
   bool crashed_ = false;
   std::uint64_t crash_op_ = 0;
-  SectorRange crash_inflight_{};
-  std::vector<std::uint64_t> crash_pre_stamps_;
 
   // Simulated closed-loop gates.
   MinHeap slots_;  // completions of the requests holding a QD slot

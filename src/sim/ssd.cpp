@@ -1,6 +1,7 @@
 #include "sim/ssd.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
 
 #include "common/log.h"
@@ -21,7 +22,7 @@ class Ssd::OracleStamps final : public ftl::StampProvider {
 
 Ssd::Ssd(std::unique_ptr<ssd::Engine> engine, ftl::SchemeKind kind,
          const ssd::Oracle* oracle_seed)
-    : engine_(std::move(engine)) {
+    : engine_(std::move(engine)), kind_(kind) {
   scheme_ = ftl::make_scheme(kind, *engine_);
   const ssd::SsdConfig::QosPolicy& qos = engine_->config().qos;
   if (qos.bucket_enabled()) {
@@ -74,6 +75,53 @@ std::unique_ptr<Ssd> Ssd::mount(const ssd::SsdConfig& config,
   device->attach_checkpointer();
   device->attach_scrubber();
   return device;
+}
+
+Ssd::Remount Ssd::remount(Ssd& crashed) {
+  AF_CHECK_MSG(crashed.oracle_ != nullptr,
+               "remount needs payload tracking for the oracle sweep");
+  const std::uint64_t cut_op = crashed.engine_->array().ops_since_arm();
+  Remount out;
+  out.device = mount(crashed.config(), crashed.kind_, crashed.release_flash(),
+                     crashed.oracle_.get(), &out.report);
+  Ssd& mounted = *out.device;
+
+  const SectorRange inflight = crashed.inflight_;
+  const std::vector<std::uint64_t>& pre_stamps = crashed.inflight_pre_stamps_;
+  const std::uint32_t spp = mounted.scheme_->page_geometry().sectors_per_page;
+  const std::uint64_t logical_sectors = mounted.config().logical_sectors();
+  for (SectorAddr base = 0; base < logical_sectors; base += spp) {
+    const SectorRange r = SectorRange::of(
+        base, std::min<std::uint64_t>(spp, logical_sectors - base));
+    ftl::ReadPlan plan;
+    (void)mounted.scheme_->read({0, /*write=*/false, r}, 0, &plan);
+    AF_CHECK_MSG(plan.observed.size() == r.size(),
+                 "recovery sweep read did not cover its range");
+    for (const auto& obs : plan.observed) {
+      ++out.verified_sectors;
+      const std::uint64_t expected = mounted.oracle_->expected(obs.sector);
+      if (obs.stamp == expected) continue;
+      const bool tolerated =
+          inflight.contains(obs.sector) &&
+          obs.stamp == pre_stamps[obs.sector - inflight.begin];
+      if (!tolerated) {
+        std::fprintf(stderr,
+                     "recovery sweep: sector %llu stamp %llu expected %llu "
+                     "(inflight [%llu,%llu) cut_at_op %llu)\n",
+                     static_cast<unsigned long long>(obs.sector),
+                     static_cast<unsigned long long>(obs.stamp),
+                     static_cast<unsigned long long>(expected),
+                     static_cast<unsigned long long>(inflight.begin),
+                     static_cast<unsigned long long>(inflight.end),
+                     static_cast<unsigned long long>(cut_op));
+      }
+      AF_CHECK_MSG(tolerated,
+                   "post-recovery state diverges from acknowledged writes");
+      mounted.oracle_->force(obs.sector, obs.stamp);
+      ++out.tolerated_sectors;
+    }
+  }
+  return out;
 }
 
 nand::FlashArray Ssd::release_flash() {
@@ -268,7 +316,18 @@ Ssd::Completion Ssd::service(const ftl::IoRequest& req, SimTime anchor) {
     const std::uint64_t last = req.range.end / spp;
     faults.trimmed_pages += last > first ? last - first : 0;
   } else if (req.write) {
-    if (oracle_) oracle_->on_write(req.range);
+    if (oracle_) {
+      // The in-flight window for remount(): a cut inside this write may
+      // legitimately lose it, so its sectors may read back either version.
+      if (engine_->array().power_cut_armed()) {
+        inflight_ = req.range;
+        inflight_pre_stamps_.clear();
+        for (SectorAddr s = req.range.begin; s < req.range.end; ++s) {
+          inflight_pre_stamps_.push_back(oracle_->expected(s));
+        }
+      }
+      oracle_->on_write(req.range);
+    }
     completion.done = scheme_->write(req, req.arrival);
     // Writes are never re-issued (the mutation landed); a busted budget is
     // surfaced as an SLO escalation, data fully intact.
@@ -339,6 +398,7 @@ Ssd::Completion Ssd::service(const ftl::IoRequest& req, SimTime anchor) {
   // its reads/programs count as physical ops, so an armed power cut can
   // fire inside a scrub tick (PowerLoss propagates to the harness).
   if (scrubber_) scrubber_->note_request(completion.done);
+  inflight_ = SectorRange{};
   return completion;
 }
 

@@ -41,6 +41,27 @@ class Ssd {
       nand::FlashArray image, const ssd::Oracle* oracle_seed = nullptr,
       ssd::RecoveryReport* report = nullptr);
 
+  /// A device remounted from a crashed one (see remount()).
+  struct Remount {
+    std::unique_ptr<Ssd> device;
+    ssd::RecoveryReport report;
+    /// Logical sectors the oracle sweep read back: all of them.
+    std::uint64_t verified_sectors = 0;
+    /// Of those, the sectors that still held the version from before the
+    /// write in service when power died.
+    std::uint64_t tolerated_sectors = 0;
+  };
+
+  /// The crash harness (DESIGN.md §7.5). Takes the flash image of a device
+  /// whose armed power cut fired (`crashed` must not be used afterwards),
+  /// mounts it with `crashed`'s oracle as seed and runs the oracle sweep:
+  /// every logical sector is read back and must hold its acknowledged stamp.
+  /// Only the sectors of the write in service at the cut may instead hold
+  /// the stamp they had before it; there the mounted oracle adopts the old
+  /// stamp, since the host never saw that write complete. Any other
+  /// divergence aborts. Requires config.track_payload.
+  [[nodiscard]] static Remount remount(Ssd& crashed);
+
   struct Completion {
     SimTime done = 0;
     SimDuration latency = 0;
@@ -90,8 +111,6 @@ class Ssd {
   [[nodiscard]] ftl::FtlScheme& scheme() { return *scheme_; }
   [[nodiscard]] const ftl::FtlScheme& scheme() const { return *scheme_; }
   [[nodiscard]] const ssd::Oracle* oracle() const { return oracle_.get(); }
-  /// Mutable oracle access for the crash harness (Oracle::force fixups).
-  [[nodiscard]] ssd::Oracle* oracle_mut() { return oracle_.get(); }
   [[nodiscard]] const ssd::Checkpointer* checkpointer() const {
     return checkpointer_.get();
   }
@@ -156,12 +175,18 @@ class Ssd {
   void attach_scrubber();
 
   std::unique_ptr<ssd::Engine> engine_;
+  ftl::SchemeKind kind_;
   std::unique_ptr<ftl::FtlScheme> scheme_;
   std::unique_ptr<ssd::Oracle> oracle_;
   std::unique_ptr<OracleStamps> stamp_provider_;
   std::unique_ptr<ssd::Checkpointer> checkpointer_;
   std::unique_ptr<ssd::ScrubScheduler> scrubber_;
   std::uint64_t verified_sectors_ = 0;
+  /// The in-flight window, kept only while a power cut is armed: the range
+  /// of the write in service and the stamps its sectors held before it.
+  /// Empty between requests.
+  SectorRange inflight_{};
+  std::vector<std::uint64_t> inflight_pre_stamps_;
   std::vector<TenantBucket> buckets_;
   std::vector<Deferred> deferred_;  ///< min-heap on (admit_at, seq)
   std::uint64_t deferred_seq_ = 0;

@@ -35,7 +35,6 @@ SsdConfig SsdConfig::tiny() {
   cfg.geometry.page_bytes = 8192;
   cfg.timing = nand::Timing::preset(nand::CellType::kTlc, cfg.geometry.page_bytes);
   cfg.gc_threshold = 0.15;
-  cfg.gc_reserve_blocks = 2;
   cfg.exported_fraction = 0.75;
   cfg.map_cache_bytes = 16 * cfg.geometry.page_bytes;
   cfg.track_payload = true;

@@ -19,7 +19,7 @@ struct SsdConfig {
   double gc_threshold = 0.10;
   /// Hard reserve: blocks per plane GC itself may consume; allocations during
   /// GC never trigger nested GC thanks to this margin.
-  std::uint32_t gc_reserve_blocks = 2;
+  static constexpr std::uint32_t kGcReserveBlocks = 2;
 
   /// Partial (resumable) GC: at most this many page migrations per GC
   /// invocation; a half-collected victim is resumed by later invocations
@@ -47,7 +47,7 @@ struct SsdConfig {
   /// Read-only degradation floor: the device drops to read-only mode when
   /// retirement leaves any plane with fewer usable blocks than the GC
   /// trigger + reserve + this margin (writes would otherwise wedge GC).
-  std::uint32_t degrade_margin_blocks = 2;
+  static constexpr std::uint32_t kDegradeMarginBlocks = 2;
 
   /// Crash-consistency checkpoint journal (DESIGN.md §7). Off by default:
   /// `interval_requests == 0` writes no journal and tracks no dirty state,
@@ -125,8 +125,8 @@ struct SsdConfig {
 
     /// Admission headroom: writes are refused with kNoSpace once projected
     /// live pages would leave some plane fewer usable blocks than
-    /// gc_reserve_blocks + this margin (frontier + GC need room to turn).
-    std::uint32_t no_space_margin_blocks = 2;
+    /// kGcReserveBlocks + this margin (frontier + GC need room to turn).
+    static constexpr std::uint32_t kNoSpaceMarginBlocks = 2;
 
     [[nodiscard]] bool wear_enabled() const {
       return wear_spread_threshold > 0;

@@ -64,7 +64,7 @@ Engine::Engine(const SsdConfig& config, nand::FlashArray image, bool adopted)
                        kFullPageWeight <
                    (std::uint64_t{1} << 31),
                "block weight range overflows the victim-index key");
-  AF_CHECK_MSG(gc_trigger_blocks() + 2 + config_.gc_reserve_blocks <
+  AF_CHECK_MSG(gc_trigger_blocks() + 2 + SsdConfig::kGcReserveBlocks <
                    config_.geometry.blocks_per_plane,
                "GC threshold leaves no usable capacity");
   if (config_.integrity.parity_enabled()) {
@@ -79,8 +79,9 @@ Engine::Engine(const SsdConfig& config, nand::FlashArray image, bool adopted)
   }
   if (adopted) {
     // Re-derive the degradation verdict the crashed device had reached.
-    const std::uint32_t floor = gc_trigger_blocks() + config_.gc_reserve_blocks +
-                                config_.degrade_margin_blocks;
+    const std::uint32_t floor = gc_trigger_blocks() +
+                                SsdConfig::kGcReserveBlocks +
+                                SsdConfig::kDegradeMarginBlocks;
     for (std::uint64_t p = 0; p < planes; ++p) {
       if (config_.geometry.blocks_per_plane - planes_[p].retired < floor) {
         read_only_ = true;
@@ -213,9 +214,9 @@ SimTime Engine::sched_read(Ppn ppn, OpKind kind, SimTime ready, bool account) {
   SimTime done = 0;
   bool scheduled = false;
   if (deadline_ && config_.deadline.preempt) {
-    nand::SuspendSlot* slot = array_.suspend_slot(chip);
+    ResourceTimeline::SuspendSlot* slot = timeline_.suspend_slot(chip);
     if (slot != nullptr && slot->end <= ready) {
-      array_.disarm_suspendable(chip);  // the victim already completed
+      timeline_.disarm_suspendable(chip);  // the victim already completed
       slot = nullptr;
     }
     if (slot != nullptr) {
@@ -240,7 +241,7 @@ SimTime Engine::sched_read(Ppn ppn, OpKind kind, SimTime ready, bool account) {
         } else {
           slot->nested = nested;
           ++slot->suspends;
-          if (slot->kind == nand::SuspendSlot::Kind::kErase) {
+          if (slot->kind == ResourceTimeline::SuspendSlot::Kind::kErase) {
             ++tail.erase_suspends;
           } else {
             ++tail.program_suspends;
@@ -273,8 +274,7 @@ void Engine::update_quarantine(std::uint64_t die) {
   // Quarantine keys off the episode state, not the miss count alone: a miss
   // burst caused by queueing (not sickness) must not banish a healthy die,
   // and a die whose episode ended is readmitted on the next look.
-  const bool sick = config_.faults.slow_episodes_enabled() &&
-                    array_.faults().die_sick(die, array_.op_clock());
+  const bool sick = array_.faults().die_sick(die, array_.op_clock());
   if (die_quarantined_[die] == 0) {
     if (sick && die_misses_[die] >= config_.deadline.quarantine_misses) {
       die_quarantined_[die] = 1;
@@ -294,8 +294,7 @@ Engine::Programmed Engine::program_on(std::uint64_t plane, std::uint32_t slot,
                                       SimTime ready,
                                       const nand::OobExtra* oob,
                                       std::uint16_t tenant) {
-  const std::uint32_t attempts =
-      1 + std::max(1u, config_.faults.max_program_retries);
+  const std::uint32_t attempts = 1 + nand::FaultConfig::kMaxProgramRetries;
   for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
     if (!plane_has_space(plane, slot)) plane = pick_plane(slot);
     const Ppn ppn = take_frontier(plane, slot);
@@ -319,7 +318,8 @@ Engine::Programmed Engine::program_on(std::uint64_t plane, std::uint32_t slot,
     // are fair game for foreground preemption; host-visible data/map/parity
     // programs are themselves latency-bearing and never suspend.
     if (in_gc_ || owner.kind == nand::PageOwner::Kind::kCkpt) {
-      arm_background(addr, nand::SuspendSlot::Kind::kProgram, span);
+      arm_background(addr, ResourceTimeline::SuspendSlot::Kind::kProgram,
+                     span);
     }
     const SimTime done = span.done;
     stats_.note_op_latency(kind, done - ready);
@@ -355,7 +355,8 @@ Engine::Programmed Engine::program_on(std::uint64_t plane, std::uint32_t slot,
                  static_cast<unsigned long long>(ppn.get()), attempt + 1);
   }
   AF_CHECK_MSG(false,
-               "program retry budget exhausted (faults.max_program_retries)");
+               "program retry budget exhausted "
+               "(FaultConfig::kMaxProgramRetries)");
   return {};
 }
 
@@ -430,8 +431,8 @@ Status Engine::admit_write(std::uint64_t pages) const {
   // the admission margin worth of pages unclaimed, or block turnover stops.
   const std::uint64_t reserve_pages =
       geom.total_planes() *
-      std::uint64_t{config_.gc_reserve_blocks +
-                    config_.capacity.no_space_margin_blocks} *
+      std::uint64_t{SsdConfig::kGcReserveBlocks +
+                    SsdConfig::CapacityPolicy::kNoSpaceMarginBlocks} *
       geom.pages_per_block;
   const std::uint64_t usable = geom.total_pages() - ctr.retired_pages;
   if (ctr.valid_pages + pages + reserve_pages > usable) {
@@ -630,7 +631,7 @@ std::uint32_t Engine::gc_trigger_blocks() const {
   const auto threshold = static_cast<std::uint32_t>(
       config_.gc_threshold *
       static_cast<double>(config_.geometry.blocks_per_plane));
-  return std::max(threshold, config_.gc_reserve_blocks + 1);
+  return std::max(threshold, SsdConfig::kGcReserveBlocks + 1);
 }
 
 std::uint32_t Engine::plane_trigger_blocks(std::uint64_t plane) const {
@@ -1015,7 +1016,7 @@ SimTime Engine::recycle_block(std::uint64_t plane, std::uint32_t block,
       config_.geometry.decode(Ppn{flat * config_.geometry.pages_per_block});
   const ResourceTimeline::Span span =
       timeline_.schedule_erase_span(addr, clock, slow_of(addr));
-  arm_background(addr, nand::SuspendSlot::Kind::kErase, span);
+  arm_background(addr, ResourceTimeline::SuspendSlot::Kind::kErase, span);
   if (array_.erase_block(flat)) {
     stats_.count_erase();
     planes_[plane].free_blocks.push_back(block);
@@ -1030,11 +1031,11 @@ SimTime Engine::recycle_block(std::uint64_t plane, std::uint32_t block,
 }
 
 void Engine::arm_background(const nand::PhysAddr& addr,
-                            nand::SuspendSlot::Kind kind,
+                            ResourceTimeline::SuspendSlot::Kind kind,
                             ResourceTimeline::Span span) {
   if (!config_.deadline.preempt) return;
-  array_.arm_suspendable(config_.geometry.chip_index(addr), kind, span.start,
-                         span.done);
+  timeline_.arm_suspendable(config_.geometry.chip_index(addr), kind,
+                            span.start, span.done);
 }
 
 std::uint32_t Engine::pick_cold_block(std::uint64_t plane) const {
@@ -1208,8 +1209,9 @@ void Engine::note_retirement(std::uint64_t plane) {
   ++planes_[plane].retired;
   const std::uint32_t usable =
       config_.geometry.blocks_per_plane - planes_[plane].retired;
-  const std::uint32_t floor = gc_trigger_blocks() + config_.gc_reserve_blocks +
-                              config_.degrade_margin_blocks;
+  const std::uint32_t floor = gc_trigger_blocks() +
+                              SsdConfig::kGcReserveBlocks +
+                              SsdConfig::kDegradeMarginBlocks;
   AF_LOG_INFO("retired block in plane %llu (%u retired, %u usable)",
               static_cast<unsigned long long>(plane), planes_[plane].retired,
               usable);

@@ -114,8 +114,8 @@ class Engine final : private MapIo {
   /// state change — so arming it costs default runs nothing. kReadOnly once
   /// degradation engaged; kNoSpace when the projected valid-page population
   /// would eat into the per-plane GC reserve plus
-  /// config.capacity.no_space_margin_blocks (a device that full can no
-  /// longer turn blocks over). Never fires while exported_fraction leaves
+  /// CapacityPolicy::kNoSpaceMarginBlocks (a device that full can no longer
+  /// turn blocks over). Never fires while exported_fraction leaves
   /// the stock over-provisioning in place.
   [[nodiscard]] Status admit_write(std::uint64_t pages) const;
 
@@ -446,7 +446,8 @@ class Engine final : private MapIo {
   /// Makes a background op (GC/checkpoint program, erase) occupying `span`
   /// on `addr`'s chip suspendable by foreground reads; no-op unless
   /// config.deadline.preempt.
-  void arm_background(const nand::PhysAddr& addr, nand::SuspendSlot::Kind kind,
+  void arm_background(const nand::PhysAddr& addr,
+                      ResourceTimeline::SuspendSlot::Kind kind,
                       ResourceTimeline::Span span);
 
   /// Picks the plane for the next allocation of `slot`: round-robin over

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "nand/flash_array.h"
+#include "common/check.h"
 
 namespace af::ssd {
 
@@ -21,6 +21,8 @@ ResourceTimeline::ResourceTimeline(const nand::Geometry& geometry,
     : geom_(geometry), timing_(timing) {
   chip_busy_until_.assign(geom_.total_chips(), 0);
   channel_busy_until_.assign(geom_.channels, 0);
+  suspend_slots_.assign(static_cast<std::size_t>(geom_.total_chips()),
+                        SuspendSlot{});
 }
 
 SimTime ResourceTimeline::schedule_read(const nand::PhysAddr& addr,
@@ -67,7 +69,7 @@ ResourceTimeline::Span ResourceTimeline::schedule_erase_span(
 
 SimTime ResourceTimeline::schedule_preempting_read(
     const nand::PhysAddr& addr, SimTime ready, double slow,
-    nand::SuspendSlot& slot, SimDuration resume_overhead) {
+    SuspendSlot& slot, SimDuration resume_overhead) {
   SimTime& chip = chip_busy_until_[addr.channel * geom_.chips_per_channel +
                                    addr.chip];
   SimTime& chan = channel_busy_until_[addr.channel];
@@ -91,9 +93,34 @@ SimTime ResourceTimeline::schedule_preempting_read(
   return done;
 }
 
+void ResourceTimeline::arm_suspendable(std::uint64_t chip,
+                                       SuspendSlot::Kind kind, SimTime start,
+                                       SimTime end) {
+  AF_CHECK(chip < suspend_slots_.size());
+  SuspendSlot& slot = suspend_slots_[static_cast<std::size_t>(chip)];
+  slot = SuspendSlot{};
+  slot.kind = kind;
+  slot.start = start;
+  slot.end = end;
+  slot.front = start;
+}
+
+void ResourceTimeline::disarm_suspendable(std::uint64_t chip) {
+  AF_CHECK(chip < suspend_slots_.size());
+  suspend_slots_[static_cast<std::size_t>(chip)] = SuspendSlot{};
+}
+
+ResourceTimeline::SuspendSlot* ResourceTimeline::suspend_slot(
+    std::uint64_t chip) {
+  AF_CHECK(chip < suspend_slots_.size());
+  SuspendSlot& slot = suspend_slots_[static_cast<std::size_t>(chip)];
+  return slot.active() ? &slot : nullptr;
+}
+
 void ResourceTimeline::reset() {
   std::fill(chip_busy_until_.begin(), chip_busy_until_.end(), SimTime{0});
   std::fill(channel_busy_until_.begin(), channel_busy_until_.end(), SimTime{0});
+  std::fill(suspend_slots_.begin(), suspend_slots_.end(), SuspendSlot{});
 }
 
 }  // namespace af::ssd

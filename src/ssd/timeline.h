@@ -16,10 +16,6 @@
 #include "nand/geometry.h"
 #include "nand/timing.h"
 
-namespace af::nand {
-struct SuspendSlot;
-}  // namespace af::nand
-
 namespace af::ssd {
 
 class ResourceTimeline {
@@ -30,6 +26,27 @@ class ResourceTimeline {
   struct Span {
     SimTime start = 0;
     SimTime done = 0;
+  };
+
+  /// Timing-level record of one in-flight suspendable background op (GC/wear
+  /// erase, GC relocation or checkpoint program) occupying a chip. The array
+  /// state change itself is synchronous — pages flip instantly — so
+  /// suspension is purely temporal: a preempting foreground read slots in at
+  /// `front` and pushes `end` (the op's completion estimate) out by the
+  /// read's cell time plus the resume overhead. All fields are simulated
+  /// time on this timeline's clock; no wall clock.
+  struct SuspendSlot {
+    enum class Kind : std::uint8_t { kNone, kProgram, kErase };
+    Kind kind = Kind::kNone;
+    SimTime start = 0;  ///< when the op began occupying the chip
+    SimTime end = 0;    ///< completion estimate, pushed out per resume
+    /// Chip admits the next preempting read no earlier than this (the latest
+    /// preempting read's sense end — preempting reads serialize on the chip).
+    SimTime front = 0;
+    std::uint32_t suspends = 0;  ///< suspensions charged against this op
+    std::uint32_t nested = 0;    ///< preempting reads currently stacked
+
+    [[nodiscard]] bool active() const { return kind != Kind::kNone; }
   };
 
   /// Read: chip senses the page, then the channel streams it out.
@@ -59,8 +76,24 @@ class ResourceTimeline {
   /// Returns the read's transfer completion.
   [[nodiscard]] SimTime schedule_preempting_read(const nand::PhysAddr& addr,
                                                  SimTime ready, double slow,
-                                                 nand::SuspendSlot& slot,
+                                                 SuspendSlot& slot,
                                                  SimDuration resume_overhead);
+
+  // One suspend slot per chip: only the newest suspendable op on a chip can
+  // be preempted (the busy-until clocks serialize chip ops anyway). Arming a
+  // slot is free bookkeeping; nothing reads them unless the deadline
+  // subsystem preempts.
+
+  /// Registers the suspendable background op now occupying `chip` over the
+  /// simulated window [start, end). Overwrites any previous (completed) slot.
+  void arm_suspendable(std::uint64_t chip, SuspendSlot::Kind kind,
+                       SimTime start, SimTime end);
+  /// Clears the chip's slot (op completed or ceiling forced completion).
+  void disarm_suspendable(std::uint64_t chip);
+  /// The chip's suspendable op, or nullptr when none is armed. The caller
+  /// (the engine) decides whether the slot is still in flight at its read's
+  /// ready time and mutates it through this pointer.
+  [[nodiscard]] SuspendSlot* suspend_slot(std::uint64_t chip);
 
   [[nodiscard]] SimTime chip_free_at(std::uint64_t chip_idx) const {
     return chip_busy_until_[chip_idx];
@@ -69,6 +102,8 @@ class ResourceTimeline {
     return channel_busy_until_[channel];
   }
 
+  /// Frees every chip and channel at time 0 and clears every suspend slot:
+  /// an op armed on the old clock is not in flight on the new one.
   void reset();
 
  private:
@@ -76,6 +111,7 @@ class ResourceTimeline {
   nand::Timing timing_;
   std::vector<SimTime> chip_busy_until_;
   std::vector<SimTime> channel_busy_until_;
+  std::vector<SuspendSlot> suspend_slots_;
 };
 
 }  // namespace af::ssd

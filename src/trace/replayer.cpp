@@ -1,8 +1,6 @@
 #include "trace/replayer.h"
 
-#include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "common/rng.h"
 #include "ftl/request.h"
@@ -125,22 +123,9 @@ CrashReplayResult replay_with_power_cut(const ssd::SsdConfig& config,
   CrashReplayResult out;
   out.cut_at_op = resolved.at_op;
 
-  // Stamps the interrupted request's sectors held *before* it was submitted:
-  // a power cut may legitimately lose the one in-flight (unacknowledged)
-  // request, so those sectors may read back either version.
-  std::vector<std::uint64_t> pre_stamps;
-  SectorRange inflight{};
   std::size_t resume_from = trace.size();
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const TraceRecord& rec = trace[i];
-    if (rec.write) {
-      pre_stamps.clear();
-      const SectorRange r = rec.range();
-      pre_stamps.reserve(r.size());
-      for (SectorAddr s = r.begin; s < r.end; ++s) {
-        pre_stamps.push_back(device->oracle()->expected(s));
-      }
-    }
     try {
       // Trims need no in-flight tolerance: the tombstone is durable before
       // the first flash op a trim can issue, so a cut mid-trim always
@@ -152,7 +137,6 @@ CrashReplayResult replay_with_power_cut(const ssd::SsdConfig& config,
       out.crashed = true;
       out.crash_event = i;
       resume_from = i;  // host-style retry of the unacknowledged request
-      if (rec.write) inflight = rec.range();
       break;
     }
   }
@@ -166,65 +150,23 @@ CrashReplayResult replay_with_power_cut(const ssd::SsdConfig& config,
     return out;
   }
 
-  // Power is gone: only the flash image survives into the next incarnation.
-  const ssd::Oracle oracle_seed = *device->oracle();
-  nand::FlashArray image = device->release_flash();
+  // Power is gone: only the flash image survives into the next incarnation,
+  // which must read back every acknowledged write.
+  sim::Ssd::Remount remounted = sim::Ssd::remount(*device);
   device.reset();
-  auto mounted =
-      sim::Ssd::mount(config, kind, std::move(image), &oracle_seed,
-                      &out.recovery);
-  if (options.on_recovery) options.on_recovery(out.recovery);
-
-  // Oracle-equivalence sweep: every acknowledged sector must read back its
-  // exact stamp. Only the interrupted request's range may still hold the
-  // pre-crash version; where it does, the shadow is re-aligned (the host
-  // never saw that write complete).
-  const std::uint32_t spp = mounted->scheme().page_geometry().sectors_per_page;
-  const std::uint64_t logical_sectors = config.logical_sectors();
-  std::uint64_t verified = 0;
-  for (SectorAddr base = 0; base < logical_sectors; base += spp) {
-    const SectorRange r = SectorRange::of(
-        base, std::min<std::uint64_t>(spp, logical_sectors - base));
-    ftl::ReadPlan plan;
-    (void)mounted->scheme().read({0, /*write=*/false, r}, 0, &plan);
-    AF_CHECK_MSG(plan.observed.size() == r.size(),
-                 "recovery sweep read did not cover its range");
-    for (const auto& obs : plan.observed) {
-      const std::uint64_t expected = mounted->oracle()->expected(obs.sector);
-      if (obs.stamp != expected) {
-        const bool tolerated =
-            inflight.contains(obs.sector) &&
-            obs.stamp == pre_stamps[obs.sector - inflight.begin];
-        if (!tolerated) {
-          std::fprintf(stderr,
-                       "recovery sweep: sector %llu stamp %llu expected %llu "
-                       "(inflight [%llu,%llu) cut_at_op %llu event %zu)\n",
-                       static_cast<unsigned long long>(obs.sector),
-                       static_cast<unsigned long long>(obs.stamp),
-                       static_cast<unsigned long long>(expected),
-                       static_cast<unsigned long long>(inflight.begin),
-                       static_cast<unsigned long long>(inflight.end),
-                       static_cast<unsigned long long>(resolved.at_op),
-                       out.crash_event);
-        }
-        AF_CHECK_MSG(tolerated,
-                     "post-recovery state diverges from acknowledged writes");
-        mounted->oracle_mut()->force(obs.sector, obs.stamp);
-      }
-      ++verified;
-    }
-  }
-  out.verified_sectors = verified;
+  out.recovery = remounted.report;
+  out.verified_sectors = remounted.verified_sectors;
+  sim::Ssd& mounted = *remounted.device;
 
   // Finish the trace on the recovered device, re-submitting the interrupted
   // request first; stats measure the continuation only.
-  mounted->reset_measurement();
+  mounted.reset_measurement();
   for (std::size_t i = resume_from; i < trace.size(); ++i) {
     const TraceRecord& rec = trace[i];
-    (void)mounted->submit({rec.timestamp, rec.write, rec.range(), rec.trim, rec.tenant});
+    (void)mounted.submit({rec.timestamp, rec.write, rec.range(), rec.trim, rec.tenant});
   }
-  mounted->snapshot_map_footprint();
-  out.result = snapshot_result(*mounted);
+  mounted.snapshot_map_footprint();
+  out.result = snapshot_result(mounted);
   return out;
 }
 

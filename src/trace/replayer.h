@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "ftl/scheme.h"
@@ -21,9 +20,6 @@ struct ReplayOptions {
   double age_used = 0.90;  // §4.1: 90% of capacity consumed before measuring
   double age_live = 0.398;  // §4.1: valid data occupies 39.8% after warm-up
   std::uint64_t age_seed = 42;
-  /// Crash-harness hook: invoked right after a power-cut mount completes,
-  /// before the post-recovery verification sweep.
-  std::function<void(const ssd::RecoveryReport&)> on_recovery;
 };
 
 struct ReplayResult {

@@ -7,8 +7,6 @@
 // shrink or free.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
 
 #include "ftl/across_ftl.h"
 #include "nand/power.h"
@@ -119,49 +117,38 @@ TEST_P(TrimTest, SurvivesPowerCut) {
   const std::uint64_t pages = config.logical_sectors() / spp;
 
   for (const std::uint64_t cut_at : {20ull, 60ull, 140ull}) {
-    auto ssd = std::make_unique<sim::Ssd>(config, GetParam());
+    sim::Ssd ssd(config, GetParam());
     SimTime t = 1;
     for (std::uint64_t p = 0; p < pages / 2; ++p) {
-      (void)test::submit_ok(*ssd, write_req(t++, p * spp, spp));
+      (void)test::submit_ok(ssd, write_req(t++, p * spp, spp));
     }
-    (void)test::submit_ok(*ssd, trim_req(t++, 0, (pages / 4) * spp));
+    (void)test::submit_ok(ssd, trim_req(t++, 0, (pages / 4) * spp));
 
-    ssd->engine().array().arm_power_cut({cut_at, /*seed=*/3});
+    ssd.engine().array().arm_power_cut({cut_at, /*seed=*/3});
     bool crashed = false;
     test::WorkloadGen gen(config.logical_sectors() / 2,
                           config.geometry.sectors_per_page(), 23);
-    SectorRange inflight{};
-    std::vector<std::uint64_t> pre_stamps;
     try {
       for (int i = 0; i < 2'000; ++i) {
         auto req = gen.next();
         // Steer the churn clear of the trimmed quarter so its unmapped state
         // is what the mount must reproduce.
         if (req.range.begin < (pages / 4) * spp) continue;
-        if (req.write) {
-          pre_stamps.clear();
-          for (SectorAddr s = req.range.begin; s < req.range.end; ++s) {
-            pre_stamps.push_back(ssd->oracle()->expected(s));
-          }
-        }
-        inflight = req.write ? req.range : SectorRange{};
-        (void)ssd->submit(req);
+        (void)ssd.submit(req);
       }
     } catch (const nand::PowerLoss&) {
       crashed = true;
     }
     ASSERT_TRUE(crashed) << "cut_at=" << cut_at;
 
-    ssd::RecoveryReport report;
-    auto mounted = test::crash_mount(std::move(ssd), config, GetParam(),
-                                     inflight, pre_stamps, &report);
-    EXPECT_GE(report.trims_replayed, 1u) << "cut_at=" << cut_at;
+    const auto remounted = sim::Ssd::remount(ssd);
+    EXPECT_GE(remounted.report.trims_replayed, 1u) << "cut_at=" << cut_at;
 
     // Oracle-verified: the trimmed quarter reads as unmapped, the rest as
     // last acknowledged.
     SimTime rt = t + 1'000'000;
     for (std::uint64_t p = 0; p < pages / 2; ++p) {
-      (void)test::submit_ok(*mounted, read_req(rt++, p * spp, spp));
+      (void)test::submit_ok(*remounted.device, read_req(rt++, p * spp, spp));
     }
   }
 }
@@ -175,33 +162,25 @@ TEST_P(TrimTest, CheckpointedTrimNeedsNoTombstoneReplay) {
   const std::uint32_t spp = config.geometry.sectors_per_page();
   const std::uint64_t pages = config.logical_sectors() / spp;
 
-  auto ssd = std::make_unique<sim::Ssd>(config, GetParam());
+  sim::Ssd ssd(config, GetParam());
   SimTime t = 1;
   for (std::uint64_t p = 0; p < pages / 2; ++p) {
-    (void)test::submit_ok(*ssd, write_req(t++, p * spp, spp));
+    (void)test::submit_ok(ssd, write_req(t++, p * spp, spp));
   }
-  (void)test::submit_ok(*ssd, trim_req(t++, 0, (pages / 4) * spp));
+  (void)test::submit_ok(ssd, trim_req(t++, 0, (pages / 4) * spp));
   // Enough post-trim writes to commit a journal entry covering the trim.
   for (std::uint64_t p = pages / 4; p < pages / 2; ++p) {
-    (void)test::submit_ok(*ssd, write_req(t++, p * spp, spp));
+    (void)test::submit_ok(ssd, write_req(t++, p * spp, spp));
   }
-  EXPECT_TRUE(ssd->engine().array().trim_log().empty())
+  EXPECT_TRUE(ssd.engine().array().trim_log().empty())
       << "journal entry should have pruned the tombstone";
 
-  ssd->engine().array().arm_power_cut({30, /*seed=*/5});
+  ssd.engine().array().arm_power_cut({30, /*seed=*/5});
   bool crashed = false;
-  SectorRange inflight{};
-  std::vector<std::uint64_t> pre_stamps;
   try {
     for (std::uint64_t p = pages / 4; p < pages / 2; ++p) {
       for (int rep = 0; rep < 2; ++rep) {
-        const auto req = write_req(t++, p * spp, spp);
-        pre_stamps.clear();
-        for (SectorAddr s = req.range.begin; s < req.range.end; ++s) {
-          pre_stamps.push_back(ssd->oracle()->expected(s));
-        }
-        inflight = req.range;
-        (void)ssd->submit(req);
+        (void)ssd.submit(write_req(t++, p * spp, spp));
       }
     }
   } catch (const nand::PowerLoss&) {
@@ -209,14 +188,12 @@ TEST_P(TrimTest, CheckpointedTrimNeedsNoTombstoneReplay) {
   }
   ASSERT_TRUE(crashed);
 
-  ssd::RecoveryReport report;
-  auto mounted = test::crash_mount(std::move(ssd), config, GetParam(),
-                                   inflight, pre_stamps, &report);
-  EXPECT_TRUE(report.used_checkpoint);
+  const auto remounted = sim::Ssd::remount(ssd);
+  EXPECT_TRUE(remounted.report.used_checkpoint);
 
   SimTime rt = t + 1'000'000;
   for (std::uint64_t p = 0; p < pages / 2; ++p) {
-    (void)test::submit_ok(*mounted, read_req(rt++, p * spp, spp));
+    (void)test::submit_ok(*remounted.device, read_req(rt++, p * spp, spp));
   }
 }
 

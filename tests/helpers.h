@@ -3,8 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -90,43 +88,6 @@ class WorkloadGen {
   Rng rng_;
   SimTime now_ = 0;
 };
-
-/// Mounts a crashed device's surviving flash image and re-aligns the oracle
-/// over the one legitimately lost in-flight write, exactly like the
-/// replayer's crash harness: `inflight`/`pre_stamps` describe the request
-/// that threw PowerLoss (empty range when it was not a write). Every other
-/// sector must read back its acknowledged stamp — AF_CHECK aborts otherwise.
-inline std::unique_ptr<sim::Ssd> crash_mount(
-    std::unique_ptr<sim::Ssd> crashed, const ssd::SsdConfig& config,
-    ftl::SchemeKind kind, SectorRange inflight,
-    const std::vector<std::uint64_t>& pre_stamps,
-    ssd::RecoveryReport* report = nullptr) {
-  const ssd::Oracle oracle_seed = *crashed->oracle();
-  nand::FlashArray image = crashed->release_flash();
-  crashed.reset();
-  auto mounted =
-      sim::Ssd::mount(config, kind, std::move(image), &oracle_seed, report);
-
-  const std::uint32_t spp = mounted->scheme().page_geometry().sectors_per_page;
-  const std::uint64_t logical_sectors = config.logical_sectors();
-  for (SectorAddr base = 0; base < logical_sectors; base += spp) {
-    const SectorRange r = SectorRange::of(
-        base, std::min<std::uint64_t>(spp, logical_sectors - base));
-    ftl::ReadPlan plan;
-    (void)mounted->scheme().read({0, /*write=*/false, r}, 0, &plan);
-    for (const auto& obs : plan.observed) {
-      const std::uint64_t expected = mounted->oracle()->expected(obs.sector);
-      if (obs.stamp == expected) continue;
-      const bool tolerated =
-          inflight.contains(obs.sector) &&
-          obs.stamp == pre_stamps[obs.sector - inflight.begin];
-      AF_CHECK_MSG(tolerated,
-                   "post-recovery state diverges from acknowledged writes");
-      mounted->oracle_mut()->force(obs.sector, obs.stamp);
-    }
-  }
-  return mounted;
-}
 
 /// Reads back the whole logical space page by page; the Ssd's oracle aborts
 /// on any stale sector.

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <vector>
 
 #include "ftl/across_ftl.h"
 #include "nand/power.h"
@@ -88,12 +87,12 @@ TEST_P(CapacityPressure, PowerCutAtFullPressure) {
   const std::uint32_t spp = config.geometry.sectors_per_page();
   const std::uint64_t pages = config.logical_sectors() / spp;
 
-  auto ssd = std::make_unique<sim::Ssd>(config, GetParam());
+  sim::Ssd ssd(config, GetParam());
   SimTime t = 1;
   bool rejected = false;
   for (std::uint64_t round = 0; round < 4 && !rejected; ++round) {
     for (std::uint64_t p = 0; p < pages; ++p) {
-      const auto completion = ssd->submit(write_req(t++, p * spp, spp));
+      const auto completion = ssd.submit(write_req(t++, p * spp, spp));
       if (!completion.accepted) {
         rejected = true;
         break;
@@ -105,27 +104,18 @@ TEST_P(CapacityPressure, PowerCutAtFullPressure) {
   // Rejected writes change no state, so the cut must land inside flash
   // traffic that still exists at the ceiling: overwrites of live pages are
   // admitted (they add no net live data) — run those until power dies.
-  ssd->engine().array().arm_power_cut({40, /*seed=*/11});
+  ssd.engine().array().arm_power_cut({40, /*seed=*/11});
   bool crashed = false;
-  SectorRange inflight{};
-  std::vector<std::uint64_t> pre_stamps;
   try {
     for (std::uint64_t p = 0; p < pages; ++p) {
-      const auto req = write_req(t++, (p % (pages / 2)) * spp, spp);
-      pre_stamps.clear();
-      for (SectorAddr s = req.range.begin; s < req.range.end; ++s) {
-        pre_stamps.push_back(ssd->oracle()->expected(s));
-      }
-      inflight = req.range;
-      (void)ssd->submit(req);
+      (void)ssd.submit(write_req(t++, (p % (pages / 2)) * spp, spp));
     }
   } catch (const nand::PowerLoss&) {
     crashed = true;
   }
   ASSERT_TRUE(crashed);
 
-  auto mounted = test::crash_mount(std::move(ssd), config, GetParam(),
-                                   inflight, pre_stamps);
+  const auto mounted = sim::Ssd::remount(ssd).device;
 
   // All acknowledged data intact.
   SimTime rt = t + 1'000'000;

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "ftl/across_ftl.h"
 #include "nand/power.h"
@@ -65,8 +64,6 @@ TEST_P(LifetimeSoak, BurnsToReadOnlyWithoutLosingData) {
     ssd->engine().array().arm_power_cut(
         {/*at_op=*/3'000 + (mounts % 5) * 800, /*seed=*/mounts + 1});
     bool crashed = false;
-    SectorRange inflight{};
-    std::vector<std::uint64_t> pre_stamps;
     try {
       for (std::uint64_t i = 0; i < kCutEvery && ops < kOpBudget; ++i, ++ops) {
         auto req = gen.next();
@@ -79,13 +76,6 @@ TEST_P(LifetimeSoak, BurnsToReadOnlyWithoutLosingData) {
           req = {t++, /*write=*/false,
                  SectorRange::of(base * spp, len * spp), /*trim=*/true};
         }
-        if (req.write) {
-          pre_stamps.clear();
-          for (SectorAddr s = req.range.begin; s < req.range.end; ++s) {
-            pre_stamps.push_back(ssd->oracle()->expected(s));
-          }
-        }
-        inflight = req.write ? req.range : SectorRange{};
         const auto completion = ssd->submit(req);
         if (!completion.accepted) {
           ++rejected_writes;
@@ -106,12 +96,11 @@ TEST_P(LifetimeSoak, BurnsToReadOnlyWithoutLosingData) {
       continue;
     }
 
-    // Blackout: remount and keep burning. crash_mount audits the surviving
+    // Blackout: remount and keep burning. The remount audits the surviving
     // state sector-by-sector against the oracle as it re-aligns the one
     // legitimately lost in-flight write.
     accumulate();
-    ssd = test::crash_mount(std::move(ssd), config, GetParam(), inflight,
-                            pre_stamps);
+    ssd = sim::Ssd::remount(*ssd).device;
     ++mounts;
 
     // Spot-audit after each mount: a sweep of the workload's footprint,

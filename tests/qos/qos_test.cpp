@@ -261,15 +261,24 @@ TEST(QosQuota, OverQuotaTenantRejectedOthersWrite) {
   EXPECT_TRUE(ssd.submit(overwrite).accepted);
 }
 
+/// The two-tenant device the recovery tests cut power on.
+ssd::SsdConfig recovery_device() {
+  auto config = ssd::SsdConfig::paper(/*page_kb=*/8, /*blocks_per_plane=*/24);
+  config.track_payload = true;
+  config.qos.tenants = 2;  // streams on
+  return config;
+}
+
+trace::Trace recovery_trace(const ssd::SsdConfig& config) {
+  return trace::mix({victim_trace(config, 500), noisy_trace(config, 500)});
+}
+
 // Power cut in the middle of a mixed two-tenant workload with streams on:
 // the mount must rebuild per-tenant attribution and stream frontiers from
 // OOB stamps, pass the oracle-equivalence sweep, and finish the trace.
 TEST(QosRecovery, PowerCutMidMixedWorkload) {
-  auto config = ssd::SsdConfig::paper(/*page_kb=*/8, /*blocks_per_plane=*/24);
-  config.track_payload = true;
-  config.qos.tenants = 2;  // streams on; bucket off (crash replay contract)
-  const auto mixed = trace::mix(
-      {victim_trace(config, 500), noisy_trace(config, 500)});
+  const auto config = recovery_device();
+  const auto mixed = recovery_trace(config);
   trace::ReplayOptions opts;
   opts.age_used = 0.85;
 
@@ -286,6 +295,29 @@ TEST(QosRecovery, PowerCutMidMixedWorkload) {
               0u);
     // The continuation ran as a two-tenant device.
     ASSERT_EQ(out.result.stats.tenants().size(), 2u);
+  }
+}
+
+// Power cut with the token bucket on: a write parked by a dry bucket enters
+// the device inside some later submission, so the write in service when
+// power dies need not be the request being submitted. The sweep must
+// tolerate exactly the write in service, whichever submission carried it.
+TEST(QosRecovery, PowerCutInsideADeferredWrite) {
+  auto config = recovery_device();
+  config.qos.rate_sectors_per_s = 3000;
+  config.qos.burst_sectors = 2000;
+  config.qos.gc_debt_sectors_per_page = 16;
+  const auto mixed = recovery_trace(config);
+  trace::ReplayOptions opts;
+  opts.age_used = 0.85;
+
+  for (const std::uint64_t seed : {7u, 8u}) {
+    trace::PowerCutSpec spec;
+    spec.seed = seed;  // at_op sampled from the run's own op horizon
+    const auto out = trace::replay_with_power_cut(
+        config, ftl::SchemeKind::kAcrossFtl, mixed, spec, opts);
+    ASSERT_TRUE(out.crashed) << "seed " << seed;
+    EXPECT_EQ(out.verified_sectors, config.logical_sectors());
   }
 }
 

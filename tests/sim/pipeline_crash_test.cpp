@@ -17,7 +17,6 @@
 #include "sim/pipeline.h"
 #include "sim/ssd.h"
 #include "ssd/config.h"
-#include "ssd/recovery.h"
 
 namespace af::sim {
 namespace {
@@ -64,54 +63,24 @@ void run_cut_and_recover(ftl::SchemeKind kind, std::uint64_t at_op,
   EXPECT_THROW(pipeline.flush(), nand::PowerLoss);
   EXPECT_THROW(pipeline.submit(reqs.front()), nand::PowerLoss);
 
-  // Tolerance window: only the interrupted write's extent may read back its
-  // pre-submission stamps after the mount.
-  const SectorRange inflight = pipeline.crash_inflight();
-  const std::vector<std::uint64_t> pre_stamps = pipeline.crash_pre_stamps();
-  const auto records = pipeline.records();  // copies before teardown
-  const ssd::Oracle oracle_seed = *pipeline.device().oracle();
-
-  ssd::RecoveryReport report;
-  auto mounted = sim::Ssd::mount(config, kind,
-                                 pipeline.device().release_flash(),
-                                 &oracle_seed, &report);
-  ASSERT_NE(mounted, nullptr);
-
-  // Oracle-equivalence sweep, tolerating exactly the in-flight window.
-  const std::uint32_t spp = mounted->scheme().page_geometry().sectors_per_page;
-  const std::uint64_t logical_sectors = config.logical_sectors();
-  std::uint64_t tolerated_sectors = 0;
-  for (SectorAddr base = 0; base < logical_sectors; base += spp) {
-    const SectorRange r = SectorRange::of(
-        base, std::min<std::uint64_t>(spp, logical_sectors - base));
-    ftl::ReadPlan plan;
-    (void)mounted->scheme().read({0, /*write=*/false, r}, 0, &plan);
-    ASSERT_EQ(plan.observed.size(), r.size());
-    for (const auto& obs : plan.observed) {
-      const std::uint64_t expected = mounted->oracle()->expected(obs.sector);
-      if (obs.stamp == expected) continue;
-      const bool tolerated =
-          inflight.contains(obs.sector) &&
-          obs.stamp == pre_stamps[obs.sector - inflight.begin];
-      ASSERT_TRUE(tolerated)
-          << "sector " << obs.sector << " stamp " << obs.stamp << " expected "
-          << expected << " after cut at op " << at_op
-          << " (completion-order violation surviving the crash)";
-      mounted->oracle_mut()->force(obs.sector, obs.stamp);
-      ++tolerated_sectors;
-    }
-  }
-  // The tolerance window is bounded by one request.
-  EXPECT_LE(tolerated_sectors, inflight.size());
+  // The oracle sweep inside the remount tolerates old stamps only inside the
+  // write in service at the cut, and aborts on any other divergence.
+  const Ssd::Remount remounted = Ssd::remount(pipeline.device());
+  ASSERT_NE(remounted.device, nullptr);
+  EXPECT_EQ(remounted.verified_sectors, config.logical_sectors());
+  // The tolerance window is bounded by one (single-page) request.
+  EXPECT_LE(remounted.tolerated_sectors, config.geometry.sectors_per_page());
+  Ssd& mounted = *remounted.device;
 
   // Host-style retry: replay everything the pipeline never serviced (the
   // abandoned tail and the never-submitted remainder) on the mounted
   // device, then prove the whole logical space reads back verified.
+  const auto& records = pipeline.records();
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (i < records.size() && records[i].executed) continue;
-    (void)mounted->submit(reqs[i]);
+    (void)mounted.submit(reqs[i]);
   }
-  test::verify_full_space(*mounted);
+  test::verify_full_space(mounted);
 }
 
 TEST(PipelineCrash, EarlyCutRecoversOnEveryScheme) {

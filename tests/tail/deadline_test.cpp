@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <vector>
 
 #include "../helpers.h"
 #include "nand/power.h"
@@ -112,38 +111,23 @@ TEST(Deadline, RetryLadderSurvivesPowerCut) {
     config.deadline.retry_backoff_us = 500;
     config.deadline.preempt = true;
     config.deadline.quarantine_misses = 3;
-    auto ssd = std::make_unique<sim::Ssd>(config, kind);
+    sim::Ssd ssd(config, kind);
     test::WorkloadGen gen(config.logical_sectors(),
                           config.geometry.sectors_per_page(), 13);
     // Warm up so the cut lands on a device with live data and GC debt.
-    for (int i = 0; i < 600; ++i) (void)test::submit_ok(*ssd, gen.next());
-    ssd->engine().array().arm_power_cut({/*at_op=*/250, /*seed=*/5});
+    for (int i = 0; i < 600; ++i) (void)test::submit_ok(ssd, gen.next());
+    ssd.engine().array().arm_power_cut({/*at_op=*/250, /*seed=*/5});
 
     bool crashed = false;
-    SectorRange inflight{};
-    std::vector<std::uint64_t> pre_stamps;
     try {
-      for (int i = 0; i < 2000; ++i) {
-        const auto req = gen.next();
-        pre_stamps.clear();
-        if (req.write) {
-          for (SectorAddr s = req.range.begin; s < req.range.end; ++s) {
-            pre_stamps.push_back(ssd->oracle()->expected(s));
-          }
-          inflight = req.range;
-        } else {
-          inflight = SectorRange{};
-        }
-        (void)ssd->submit(req);
-      }
+      for (int i = 0; i < 2000; ++i) (void)ssd.submit(gen.next());
     } catch (const nand::PowerLoss&) {
       crashed = true;
     }
     ASSERT_TRUE(crashed);
 
-    // crash_mount re-reads every logical sector against the oracle.
-    auto mounted =
-        test::crash_mount(std::move(ssd), config, kind, inflight, pre_stamps);
+    // The remount re-reads every logical sector against the oracle.
+    const auto mounted = sim::Ssd::remount(ssd).device;
     SimTime t = 1'000'000'000'000;
     const std::uint32_t spp = config.geometry.sectors_per_page();
     for (std::uint32_t i = 0; i < 200; ++i) {

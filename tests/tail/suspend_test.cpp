@@ -1,10 +1,10 @@
 // Program/erase suspend-resume state machine (tail subsystem, DESIGN.md §11):
 // the timeline's preemption algebra — a foreground read slicing into an
 // in-flight background op's window — and the per-chip suspend-slot
-// bookkeeping on the flash array.
+// bookkeeping that lives beside it on the timeline.
 #include <gtest/gtest.h>
 
-#include "nand/flash_array.h"
+#include "../helpers.h"
 #include "ssd/timeline.h"
 
 namespace af::ssd {
@@ -32,9 +32,10 @@ nand::Timing fixed_timing() {
   return t;
 }
 
-nand::SuspendSlot slot_over(nand::SuspendSlot::Kind kind,
-                            ResourceTimeline::Span span) {
-  nand::SuspendSlot slot;
+using Slot = ResourceTimeline::SuspendSlot;
+
+Slot slot_over(Slot::Kind kind, ResourceTimeline::Span span) {
+  Slot slot;
   slot.kind = kind;
   slot.start = span.start;
   slot.end = span.done;
@@ -47,7 +48,7 @@ TEST(Suspend, PreemptingReadSlicesIntoEraseWindow) {
   const auto span = tl.schedule_erase_span({0, 0, 0, 0, 0, 0}, 0);
   EXPECT_EQ(span.start, 0u);
   EXPECT_EQ(span.done, 5000u);
-  auto slot = slot_over(nand::SuspendSlot::Kind::kErase, span);
+  auto slot = slot_over(Slot::Kind::kErase, span);
 
   const SimTime done =
       tl.schedule_preempting_read({0, 0, 0, 0, 0, 1}, 200, 1.0, slot, 40);
@@ -67,7 +68,7 @@ TEST(Suspend, PreemptingReadSlicesIntoEraseWindow) {
 TEST(Suspend, StackedPreemptionsSerializeOnTheSuspendFront) {
   ResourceTimeline tl(two_channel(), fixed_timing());
   const auto span = tl.schedule_erase_span({0, 0, 0, 0, 0, 0}, 0);
-  auto slot = slot_over(nand::SuspendSlot::Kind::kErase, span);
+  auto slot = slot_over(Slot::Kind::kErase, span);
 
   const SimTime first =
       tl.schedule_preempting_read({0, 0, 0, 0, 0, 1}, 100, 1.0, slot, 40);
@@ -89,7 +90,7 @@ TEST(Suspend, StackedPreemptionsSerializeOnTheSuspendFront) {
 TEST(Suspend, SlowFactorScalesOnlyTheSense) {
   ResourceTimeline tl(two_channel(), fixed_timing());
   const auto span = tl.schedule_program_span({0, 0, 0, 0, 0, 0}, 0);
-  auto slot = slot_over(nand::SuspendSlot::Kind::kProgram, span);
+  auto slot = slot_over(Slot::Kind::kProgram, span);
   const SimTime done =
       tl.schedule_preempting_read({0, 0, 0, 0, 0, 1}, span.start, 3.0, slot, 40);
   // Sense is 3x slower (fail-slow die); the channel transfer is unaffected.
@@ -98,36 +99,76 @@ TEST(Suspend, SlowFactorScalesOnlyTheSense) {
 }
 
 TEST(Suspend, SlotLifecycleArmsOverwritesAndDisarms) {
-  nand::FlashArray array(two_channel());
+  ResourceTimeline tl(two_channel(), fixed_timing());
   // Nothing armed: every chip reports no suspendable op.
   for (std::uint64_t chip = 0; chip < 4; ++chip) {
-    EXPECT_EQ(array.suspend_slot(chip), nullptr);
+    EXPECT_EQ(tl.suspend_slot(chip), nullptr);
   }
 
-  array.arm_suspendable(1, nand::SuspendSlot::Kind::kErase, 100, 5100);
-  nand::SuspendSlot* slot = array.suspend_slot(1);
+  tl.arm_suspendable(1, Slot::Kind::kErase, 100, 5100);
+  Slot* slot = tl.suspend_slot(1);
   ASSERT_NE(slot, nullptr);
-  EXPECT_EQ(slot->kind, nand::SuspendSlot::Kind::kErase);
+  EXPECT_EQ(slot->kind, Slot::Kind::kErase);
   EXPECT_EQ(slot->start, 100u);
   EXPECT_EQ(slot->end, 5100u);
   EXPECT_EQ(slot->front, 100u);
   EXPECT_EQ(slot->suspends, 0u);
-  EXPECT_EQ(array.suspend_slot(0), nullptr);  // per-chip isolation
+  EXPECT_EQ(tl.suspend_slot(0), nullptr);  // per-chip isolation
 
-  // The engine mutates the slot through the pointer; the array keeps it.
+  // The engine mutates the slot through the pointer; the timeline keeps it.
   slot->suspends = 3;
-  EXPECT_EQ(array.suspend_slot(1)->suspends, 3u);
+  EXPECT_EQ(tl.suspend_slot(1)->suspends, 3u);
 
   // Re-arming (a newer background op on the same chip) resets everything.
-  array.arm_suspendable(1, nand::SuspendSlot::Kind::kProgram, 6000, 8000);
-  slot = array.suspend_slot(1);
+  tl.arm_suspendable(1, Slot::Kind::kProgram, 6000, 8000);
+  slot = tl.suspend_slot(1);
   ASSERT_NE(slot, nullptr);
-  EXPECT_EQ(slot->kind, nand::SuspendSlot::Kind::kProgram);
+  EXPECT_EQ(slot->kind, Slot::Kind::kProgram);
   EXPECT_EQ(slot->suspends, 0u);
   EXPECT_EQ(slot->front, 6000u);
 
-  array.disarm_suspendable(1);
-  EXPECT_EQ(array.suspend_slot(1), nullptr);
+  tl.disarm_suspendable(1);
+  EXPECT_EQ(tl.suspend_slot(1), nullptr);
+
+  // A reset restarts the clock, so no op armed on the old one is in flight.
+  tl.arm_suspendable(2, Slot::Kind::kErase, 100, 5100);
+  tl.reset();
+  EXPECT_EQ(tl.suspend_slot(2), nullptr);
+}
+
+TEST(Suspend, ResetMeasurementDropsSlotsFromTheOldClock) {
+  // GC during set-up arms suspend slots late on the set-up clock. After
+  // reset_measurement() restarts simulated time at 0, none of those ops is
+  // in flight: a read must queue only behind what the new clock booked,
+  // never "preempt" a slot whose window lies far in the new clock's future.
+  for (const auto kind : {ftl::SchemeKind::kPageFtl, ftl::SchemeKind::kMrsm,
+                          ftl::SchemeKind::kAcrossFtl}) {
+    auto config = test::tiny_config();
+    config.deadline.read_deadline_us = 500;
+    config.deadline.preempt = true;
+    config.deadline.max_retries = 0;
+    sim::Ssd ssd(config, kind);
+    ssd.age(0.9, 0.5, 7);
+    const std::uint32_t spp = config.geometry.sectors_per_page();
+    Rng rng(3);
+    SimTime t = 0;
+    for (int i = 0; i < 3'000; ++i, t += 1'000) {
+      (void)test::submit_ok(
+          ssd, {t, /*write=*/true, SectorRange::of(rng.below(400) * spp, spp)});
+    }
+    ssd.reset_measurement();
+
+    const auto write =
+        test::submit_ok(ssd, {0, /*write=*/true, SectorRange::of(0, spp)});
+    const auto read =
+        test::submit_ok(ssd, {1'000, /*write=*/false, SectorRange::of(0, spp)});
+    const auto& tail = ssd.stats().tail();
+    EXPECT_EQ(tail.erase_suspends + tail.program_suspends, 0u);
+    // The read senses once the write it follows frees the chip: nothing
+    // else on the new clock stands in its way.
+    EXPECT_EQ(read.done, write.done + config.timing.read_ns +
+                             config.timing.transfer_ns_per_page);
+  }
 }
 
 }  // namespace
